@@ -273,6 +273,8 @@ def _cmd_decompose(args, files: _Files) -> int:
 
 
 def _cmd_gen_lower(args, files: _Files) -> int:
+    if args.r < 1:  # checked before the default delta = 1/(1000 r) divides by it
+        raise ValueError(f"--r must be at least 1, got {args.r}")
     delta = args.delta if args.delta is not None else 1.0 / (1000.0 * args.r)
     epsilon = args.epsilon if args.epsilon is not None else delta ** (args.r + 2)
     params = LowerBoundParams(

@@ -18,8 +18,11 @@ k = max(1, floor(d*n/100)), or the subset criterion
 
 fails; the violating pair is read off the min cut of the flow network
 (source -> left with capacity k, edges with capacity 1, right -> sink with
-capacity k). From a violation (A, B) with |A| <= |B|, writing C and D for the
-complements of B and A in their classes, at least one of two escapes holds
+capacity k). When k = 1 no network is built: the factor is a perfect
+matching (Hopcroft–Karp), and failing that the same pair comes from König's
+alternating search out of the unmatched left vertices. From a violation
+(A, B) with |A| <= |B|, writing C and D for the complements of B and A in
+their classes, at least one of two escapes holds
 (when k <= d*n/100; see DensityIncrementStuck for the clamped regime):
 
     e(A, C) >= d |A| |C|^{1-delta} n^{delta}        (pair A x C)
@@ -40,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from .colouring import EdgeColouring, colour_forest
-from .flows import Dinic, hopcroft_karp
+from .flows import Dinic, alternating_reach, hopcroft_karp
 from .graphs import BipartiteGraph, Edge, EdgePartition, Graph, canonical_edge
 
 
@@ -114,7 +117,7 @@ def bit_split(g: Graph) -> list[BitLayer]:
 
 
 # ---------------------------------------------------------------------------
-# k-factors via max flow
+# k-factors via matching (k = 1) or max flow
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -139,31 +142,53 @@ def subset_criterion_value(b: BipartiteGraph, k: int, xs, ys) -> int:
 
 def find_k_factor(b: BipartiteGraph, k: int) -> KFactorWitness:
     """Spanning k-regular subgraph of an equal-part bipartite graph, or a
-    violating subset pair extracted from the min cut."""
+    violating subset pair (X, Y).
+
+    For k = 1 a factor is a perfect matching: Hopcroft–Karp finds one, and
+    otherwise König's alternating search from the free left vertices gives
+    X = left vertices reached, Y = right vertices not reached. For k >= 2 the
+    pair is read off the source side of a Dinic min cut. Both give the same
+    pair, the residual-reachable side of every maximum flow, so only the
+    choice of factor depends on the route.
+    """
     n = len(b.left)
     if n != len(b.right):
         raise ValueError(f"parts differ in size: {n} vs {len(b.right)}")
     if k < 0 or k > n:
         raise ValueError(f"k={k} out of range for part size {n}")
     if k == 0:
-        return KFactorWitness(0, BipartiteGraph(b.left, b.right, ()), None)
+        return KFactorWitness(0, BipartiteGraph._trusted(b.left, b.right, ()), None)
     lpos = {u: i for i, u in enumerate(b.left)}
     rpos = {v: i for i, v in enumerate(b.right)}
-    source, sink = 2 * n, 2 * n + 1
-    net = Dinic(2 * n + 2)
-    for i in range(n):
-        net.add_edge(source, i, k)
-        net.add_edge(n + i, sink, k)
-    mid = {}
-    for u, v in b.edges:
-        mid[(u, v)] = net.add_edge(lpos[u], n + rpos[v], 1)
-    flow = net.max_flow(source, sink)
-    if flow == k * n:
-        chosen = tuple(e for e, idx in mid.items() if net.flow_on(idx) == 1)
-        return KFactorWitness(k, BipartiteGraph(b.left, b.right, chosen), None)
-    side = net.min_cut_source_side(source)
-    xs = tuple(u for u in b.left if lpos[u] in side)
-    ys = tuple(v for v in b.right if (n + rpos[v]) not in side)
+    if k == 1:
+        adjacency: list[list[int]] = [[] for _ in range(n)]
+        for u, v in b.edges:
+            adjacency[lpos[u]].append(rpos[v])
+        match = hopcroft_karp(n, n, adjacency)
+        if len(match) == n:
+            chosen = tuple(sorted((b.left[i], b.right[j]) for i, j in match.items()))
+            factor = BipartiteGraph._trusted(b.left, b.right, chosen)
+            return KFactorWitness(1, factor, None)
+        reach_l, reach_r = alternating_reach(adjacency, match)
+        xs = tuple(u for u in b.left if lpos[u] in reach_l)
+        ys = tuple(v for v in b.right if rpos[v] not in reach_r)
+    else:
+        source, sink = 2 * n, 2 * n + 1
+        net = Dinic(2 * n + 2)
+        for i in range(n):
+            net.add_edge(source, i, k)
+            net.add_edge(n + i, sink, k)
+        mid = {}
+        for u, v in b.edges:
+            mid[(u, v)] = net.add_edge(lpos[u], n + rpos[v], 1)
+        flow = net.max_flow(source, sink)
+        if flow == k * n:
+            chosen = tuple(e for e, idx in mid.items() if net.flow_on(idx) == 1)
+            factor = BipartiteGraph._trusted(b.left, b.right, chosen)
+            return KFactorWitness(k, factor, None)
+        side = net.min_cut_source_side(source)
+        xs = tuple(u for u in b.left if lpos[u] in side)
+        ys = tuple(v for v in b.right if (n + rpos[v]) not in side)
     witness = KFactorWitness(k, None, (xs, ys))
     # cut capacity = k(n-|X|) + k(n-|Y|) + e(X,Y) = flow < kn, hence strict
     slack = subset_criterion_value(b, k, xs, ys)
@@ -292,11 +317,12 @@ def restriction_ratio_holds(
 class TraceEntry:
     part_size: int
     density: float
+    delta: float  # the configured exponent the potential is taken under
     escape: str | None = None  # escape that produced this state (None for start)
 
     @property
     def potential(self) -> float:
-        return self.density * self.part_size**0.25
+        return self.density * self.part_size**self.delta
 
 
 def large_regular_subgraph(
@@ -311,7 +337,7 @@ def large_regular_subgraph(
     """
     cfg = cfg or PipelineConfig()
     cur = b
-    trace = [TraceEntry(len(cur.left), cur.density)]
+    trace = [TraceEntry(len(cur.left), cur.density, cfg.delta)]
     while True:
         step = density_increment_step(cur, cfg)
         if step.kind == "factor":
@@ -324,7 +350,7 @@ def large_regular_subgraph(
                     raise DichotomyBug(f"factor degree mismatch at {v}")
             return step.k, factor, trace
         cur = step.restriction
-        trace.append(TraceEntry(len(cur.left), cur.density, step.escape))
+        trace.append(TraceEntry(len(cur.left), cur.density, cfg.delta, step.escape))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +494,11 @@ def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> Decompositio
         threshold = total ** (-cfg.gamma)
         remaining = set(layer.graph.edges)
         while remaining and len(remaining) / (half * half) >= threshold:
-            cur = BipartiteGraph(layer.graph.left, layer.graph.right, tuple(remaining))
+            cur = BipartiteGraph._trusted(
+                layer.graph.left,
+                layer.graph.right,
+                tuple(e for e in layer.graph.edges if e in remaining),
+            )
             try:
                 k, factor, trace = large_regular_subgraph(cur, cfg)
             except DensityIncrementStuck:

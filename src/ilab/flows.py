@@ -40,27 +40,46 @@ class Dinic:
                     q.append(self.to[idx])
         return self.level[t] >= 0
 
-    def _dfs(self, x: int, t: int, pushed: int) -> int:
-        if x == t:
-            return pushed
-        while self.it[x] < len(self.adj[x]):
-            idx = self.adj[x][self.it[x]]
-            y = self.to[idx]
-            if self.cap[idx] > 0 and self.level[y] == self.level[x] + 1:
-                got = self._dfs(y, t, min(pushed, self.cap[idx]))
-                if got > 0:
-                    self.cap[idx] -= got
-                    self.cap[idx ^ 1] += got
-                    return got
-            self.it[x] += 1
-        return 0
+    def _augment(self, s: int, t: int) -> int:
+        """Push flow along one level-graph path from s to t (0 if none).
+
+        Iterative depth-first search: arcs are tried in insertion order from
+        each node's current-arc pointer ``it``, which advances only past arcs
+        that led to a dead end, exactly as a recursive Dinic DFS would.
+        """
+        to, cap, adj, level, it = self.to, self.cap, self.adj, self.level, self.it
+        path: list[int] = []  # arc indices from s to x
+        x = s
+        while x != t:
+            arcs = adj[x]
+            i = it[x]
+            nxt = level[x] + 1
+            while i < len(arcs):
+                idx = arcs[i]
+                if cap[idx] > 0 and level[to[idx]] == nxt:
+                    break
+                i += 1
+            it[x] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                x = to[arcs[i]]
+            elif path:  # dead end: retreat and skip the arc that led here
+                x = to[path.pop() ^ 1]
+                it[x] += 1
+            else:
+                return 0
+        pushed = min(cap[idx] for idx in path)
+        for idx in path:
+            cap[idx] -= pushed
+            cap[idx ^ 1] += pushed
+        return pushed
 
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
         while self._bfs(s, t):
             self.it = [0] * self.n
             while True:
-                pushed = self._dfs(s, t, 1 << 60)
+                pushed = self._augment(s, t)
                 if pushed == 0:
                     break
                 flow += pushed
@@ -116,14 +135,41 @@ def hopcroft_karp(
                     q.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in adjacency[u]:
-            w = match_r[v]
-            if w < 0 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
+    def dfs(root: int) -> bool:
+        """Augment from a free left vertex; iterative, so path length is unbounded.
+
+        Each frame scans its vertex's adjacency from the start, and a vertex
+        that fails is retired for the phase (dist = INF).
+        """
+        stack = [root]
+        pos = [0]
+        while stack:
+            u = stack[-1]
+            nbrs = adjacency[u]
+            i = pos[-1]
+            nxt = dist[u] + 1
+            while i < len(nbrs):
+                w = match_r[nbrs[i]]
+                if w < 0 or dist[w] == nxt:
+                    break
+                i += 1
+            if i == len(nbrs):
+                dist[u] = INF
+                stack.pop()
+                pos.pop()
+                if pos:
+                    pos[-1] += 1
+                continue
+            pos[-1] = i
+            if w >= 0:
+                stack.append(w)
+                pos.append(0)
+                continue
+            for x, j in zip(stack, pos):  # flip the alternating path
+                v = adjacency[x][j]
+                match_l[x] = v
+                match_r[v] = x
+            return True
         return False
 
     while bfs():
@@ -131,3 +177,29 @@ def hopcroft_karp(
             if match_l[u] < 0:
                 dfs(u)
     return {u: v for u, v in enumerate(match_l) if v >= 0}
+
+
+def alternating_reach(
+    adjacency: list[list[int]], match: dict[int, int]
+) -> tuple[set[int], set[int]]:
+    """Left and right indices reachable by alternating paths from free left vertices.
+
+    ``match`` must be a maximum matching (as from :func:`hopcroft_karp`).
+    König: the unreached left and the reached right vertices form a minimum
+    vertex cover, and the reached sets are exactly the residual-reachable
+    side of every minimum cut of the unit-capacity matching network.
+    """
+    match_r = {v: u for u, v in match.items()}
+    queue = [u for u in range(len(adjacency)) if u not in match]
+    left, right = set(queue), set()
+    for u in queue:  # grows while iterated: breadth-first order
+        for v in adjacency[u]:
+            if v not in right:
+                right.add(v)
+                w = match_r.get(v)
+                if w is None:
+                    raise ValueError("matching is not maximum: augmenting path found")
+                if w not in left:
+                    left.add(w)
+                    queue.append(w)
+    return left, right

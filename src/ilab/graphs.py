@@ -186,6 +186,21 @@ class BipartiteGraph:
         object.__setattr__(self, "right", tuple(self.right))
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
+    @classmethod
+    def _trusted(
+        cls, left: tuple[int, ...], right: tuple[int, ...], edges: tuple[Edge, ...]
+    ) -> "BipartiteGraph":
+        """Build without validating or sorting.
+
+        Only for parts derived from an already validated graph: label tuples
+        taken from its sides and a sorted subsequence of its edges.
+        """
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "left", left)
+        object.__setattr__(obj, "right", right)
+        object.__setattr__(obj, "edges", edges)
+        return obj
+
     @property
     def edge_count(self) -> int:
         return len(self.edges)
@@ -221,7 +236,7 @@ class BipartiteGraph:
         keep_l = tuple(u for u in self.left if u in lset)
         keep_r = tuple(v for v in self.right if v in rset)
         keep_e = tuple((u, v) for u, v in self.edges if u in lset and v in rset)
-        return BipartiteGraph(keep_l, keep_r, keep_e)
+        return BipartiteGraph._trusted(keep_l, keep_r, keep_e)
 
     def to_graph(self, vertex_count: int | None = None) -> Graph:
         """View as a plain Graph on the ambient id space."""

@@ -139,6 +139,14 @@ class TestGenLower:
         assert manifest["outputs"][str(out_file)] == digest
         assert manifest["config"]["r"] == 2 and manifest["exit_code"] == 0
 
+    def test_zero_layers_is_usage_error(self, capsys, tmp_path):
+        # the default delta is 1/(1000 r), so r = 0 must be refused before it
+        code, out, err = run(capsys, "gen-lower", "--r", "0", "--n", "10",
+                             "-o", str(tmp_path / "lb.json"))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--r" in err
+        assert not (tmp_path / "lb.json").exists()
+
 
 @pytest.fixture
 def layered(capsys, tmp_path):

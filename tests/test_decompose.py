@@ -24,6 +24,7 @@ from ilab.decompose import (
     restriction_ratio_holds,
     subset_criterion_value,
 )
+from ilab.flows import Dinic
 from ilab.graphs import BipartiteGraph
 
 
@@ -84,6 +85,53 @@ class TestKFactor:
         xs, ys = w.violation
         assert subset_criterion_value(b, 1, xs, ys) < 0
 
+    def test_k1_violation_equals_dinic_min_cut(self):
+        # the k = 1 route (matching + König) must name the same pair as the
+        # source side of a unit-capacity Dinic min cut; padded sides have
+        # isolated vertices, as on the pipeline's padded layers
+        failing = 0
+        rng = random.Random(2024)
+        for trial in range(600):
+            n = rng.randint(1, 14)
+            pad_l, pad_r = rng.randint(0, n // 3), rng.randint(0, n // 3)
+            left, right = tuple(range(n)), tuple(range(n, 2 * n))
+            p = rng.uniform(0.05, 0.8)
+            edges = tuple(
+                (u, v) for u in left[pad_l:] for v in right[pad_r:] if rng.random() < p
+            )
+            b = BipartiteGraph(left, right, edges)
+            net = Dinic(2 * n + 2)
+            for i in range(n):
+                net.add_edge(2 * n, i, 1)
+                net.add_edge(n + i, 2 * n + 1, 1)
+            for u, v in edges:
+                net.add_edge(u, v, 1)
+            perfect = net.max_flow(2 * n, 2 * n + 1) == n
+            w = find_k_factor(b, 1)
+            assert w.is_factor == perfect, trial
+            if perfect:
+                assert all(w.factor.degree(x) == 1 for x in left + right)
+                assert set(w.factor.edges) <= set(edges)
+                continue
+            failing += 1
+            side = net.min_cut_source_side(2 * n)
+            want = (
+                tuple(u for u in left if u in side),
+                tuple(v for v in right if v not in side),
+            )
+            assert w.violation == want, trial
+        assert failing >= 200
+
+    def test_k2_factor_is_unchanged(self):
+        # k >= 2 stays on the Dinic route; this factor is frozen from the
+        # recursive-DFS implementation, so the iterative DFS must match it
+        b = random_bipartite(8, 0.7, seed=3)
+        w = find_k_factor(b, 2)
+        assert w.factor.edges == (
+            (0, 9), (0, 14), (1, 8), (1, 9), (2, 10), (2, 12), (3, 8), (3, 11),
+            (4, 10), (4, 13), (5, 11), (5, 12), (6, 14), (6, 15), (7, 13), (7, 15),
+        )
+
 
 class TestRestrictionRatio:
     def test_fourth_root_boundary_is_exact(self):
@@ -143,6 +191,20 @@ class TestIncrementStep:
             assert factor.edge_count == k * len(factor.left)
             pots = [t.potential for t in trace]
             assert all(b >= a - 1e-12 for a, b in zip(pots, pots[1:])), trace
+
+    def test_trace_potential_uses_configured_delta(self):
+        cfg = PipelineConfig(delta=0.4)
+        longest = 0
+        for seed in range(16):
+            b = random_bipartite(16, 0.2, seed=100 + seed)
+            _, _, trace = large_regular_subgraph(b, cfg)
+            longest = max(longest, len(trace))
+            pots = [t.potential for t in trace]
+            for t, pot in zip(trace, pots):
+                assert t.delta == 0.4
+                assert pot == pytest.approx(t.density * t.part_size**0.4)
+            assert all(b >= a - 1e-12 for a, b in zip(pots, pots[1:])), trace
+        assert longest >= 3, "expected a trace with several restrictions"
 
 
 def test_decompose_theta_survives_increment_stuck(monkeypatch):

@@ -1,7 +1,7 @@
 import itertools
 import random
 
-from ilab.flows import Dinic, hopcroft_karp
+from ilab.flows import Dinic, alternating_reach, hopcroft_karp
 
 
 def brute_max_matching(n_left, adjacency):
@@ -88,3 +88,37 @@ def test_flow_on_reports_per_edge_units():
     used = sorted(pair for pair, idx in mid.items() if d.flow_on(idx) == 1)
     # left 1 only reaches right 0, so the assignment is forced
     assert used == [(0, 1), (1, 0)]
+
+
+def test_hopcroft_karp_long_augmenting_path():
+    # greedy matches left i to right i+1, leaving one augmenting path that
+    # runs through all n left vertices: no recursion-depth limit may apply
+    n = 2000
+    adjacency = [[i + 1, i] for i in range(n - 1)] + [[n - 1]]
+    match = hopcroft_karp(n, n, adjacency)
+    assert match == {i: i for i in range(n)}
+
+
+def test_dinic_long_path_network():
+    n = 3000
+    d = Dinic(n)
+    for i in range(n - 1):
+        d.add_edge(i, i + 1, 1)
+    assert d.max_flow(0, n - 1) == 1
+    assert d.min_cut_source_side(0) == {0}
+
+
+def test_alternating_reach_gives_konig_cover():
+    rng = random.Random(3)
+    for _ in range(200):
+        nl, nr = rng.randint(1, 8), rng.randint(1, 8)
+        adjacency = [
+            sorted({rng.randrange(nr) for _ in range(rng.randint(0, 3))})
+            for _ in range(nl)
+        ]
+        match = hopcroft_karp(nl, nr, adjacency)
+        left, right = alternating_reach(adjacency, match)
+        # reached left vertices only see reached right vertices, and the
+        # unreached left plus reached right form a cover of matching size
+        assert all(set(adjacency[u]) <= right for u in left)
+        assert (nl - len(left)) + len(right) == len(match)
