@@ -43,16 +43,15 @@ from .exact import (
     max_colours,
     peel_sequence,
 )
+from .formats import FormatError
 from .graphs import (
     BipartiteGraph,
     Edge,
     EdgePartition,
-    FormatError,
     Graph,
     canonical_edge,
     diameter,
     induced_subgraph,
-    load_graph,
 )
 from .planar import (
     FamilySpec,
@@ -120,7 +119,6 @@ __all__ = [
     "hereditary_sparsity",
     "induced_subgraph",
     "large_regular_subgraph",
-    "load_graph",
     "matching_decomposition",
     "max_colours",
     "objective_check",

@@ -2,12 +2,12 @@
 
 Exit codes: 0 = verified/found, 1 = negative result (not colourable, bound
 violated, partition survived, ...), 2 = usage or input error, 3 = search
-budget exhausted. Every subcommand accepts ``--seed`` (default 0) and
-``--manifest FILE`` to record a run manifest (inputs/outputs with SHA-256
-digests, config echo, timing). Output files are deterministic byte-for-byte
-for fixed inputs; colour files are normalised so the smallest colour is 0.
-``ILAB_THREADS`` caps internal parallelism (the current implementations are
-sequential; the value is validated and echoed in manifests).
+budget exhausted. Every subcommand accepts ``--manifest FILE`` to record a
+run manifest (inputs/outputs with SHA-256 digests, config echo, timing);
+``gen-lower`` alone takes ``--seed`` (default 0). Output files are
+deterministic byte-for-byte for fixed inputs; colour files are normalised so
+the smallest colour is 0. What each input file may contain is set out in
+:mod:`ilab.formats`.
 """
 
 from __future__ import annotations
@@ -15,19 +15,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
-from .colouring import (
-    EdgeColouring,
-    count_colours,
-    parse_colouring_json,
-    parse_colouring_text,
-    serialize_colouring_json,
-    serialize_colouring_text,
-    verify,
-)
+from .colouring import EdgeColouring, count_colours, verify
 from .decompose import FactorPart, PipelineConfig, decompose_theta, objective_check
 from .exact import (
     SearchBudget,
@@ -36,16 +27,21 @@ from .exact import (
     find_interval_colouring,
     max_colours,
 )
-from .graphs import (
-    Edge,
+from .formats import (
     FormatError,
-    Graph,
-    canonical_edge,
+    parse_colouring_json,
+    parse_colouring_text,
     parse_graph_json,
     parse_graph_text,
+    parse_layered_json,
+    parse_partition_json,
+    serialize_colouring_json,
+    serialize_colouring_text,
     serialize_graph_json,
     serialize_graph_text,
+    serialize_layered_json,
 )
+from .graphs import Graph
 from .planar import (
     FamilySpec,
     extremal_family,
@@ -57,24 +53,8 @@ from .randlab import (
     LowerBoundParams,
     adversarial_probe,
     generate,
-    parse_layered_json,
-    serialize_layered_json,
     validate_spread_witness,
 )
-
-
-def _threads() -> int:
-    raw = os.environ.get("ILAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    print(f"warning: ignoring invalid ILAB_THREADS={raw!r}", file=sys.stderr)
-    return 1
 
 
 class _Files:
@@ -105,45 +85,22 @@ def _load_graph(files: _Files, path: str) -> Graph:
 
 def _load_colouring(files: _Files, path: str) -> EdgeColouring:
     text = files.read(path)
-    if path.endswith(".json"):
-        return parse_colouring_json(text)
-    return parse_colouring_text(text)
+    return parse_colouring_json(text) if path.endswith(".json") else parse_colouring_text(text)
 
 
 def _write_colouring(files: _Files, path: str, c: EdgeColouring) -> None:
-    c = c.normalised()
-    if path.endswith(".json"):
-        files.write(path, serialize_colouring_json(c))
-    else:
-        files.write(path, serialize_colouring_text(c))
+    write = serialize_colouring_json if path.endswith(".json") else serialize_colouring_text
+    files.write(path, write(c.normalised()))
 
 
 def _write_graph(files: _Files, path: str, g: Graph) -> None:
-    if path.endswith(".json"):
-        files.write(path, serialize_graph_json(g))
-    else:
-        files.write(path, serialize_graph_text(g))
+    write = serialize_graph_json if path.endswith(".json") else serialize_graph_text
+    files.write(path, write(g))
 
 
 def _require_match(g: Graph, c: EdgeColouring) -> None:
     if c.graph.vertex_count != g.vertex_count or c.graph.edges != g.edges:
         raise FormatError("colouring file does not describe the given graph")
-
-
-def _parse_partition_json(text: str) -> dict[Edge, int]:
-    doc = json.loads(text)
-    edges = doc.get("edges")
-    parts = doc.get("parts", doc.get("colours"))
-    if not isinstance(edges, list) or not isinstance(parts, list):
-        raise FormatError("partition JSON needs 'edges' and 'parts' arrays")
-    if len(edges) != len(parts):
-        raise FormatError(
-            f"{len(edges)} edges but {len(parts)} part labels"
-        )
-    out: dict[Edge, int] = {}
-    for (u, v), p in zip(edges, parts):
-        out[canonical_edge(int(u), int(v))] = int(p)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +237,9 @@ def _cmd_gen_lower(args, files: _Files) -> int:
     params = LowerBoundParams(
         r=args.r, n=args.n, delta=delta, epsilon=epsilon, seed=args.seed
     )
-    files.config.update(r=params.r, n=params.n, delta=delta, epsilon=epsilon)
+    files.config.update(
+        r=params.r, n=params.n, delta=delta, epsilon=epsilon, seed=params.seed
+    )
     lb = generate(params)
     files.write(args.out, serialize_layered_json(lb))
     for i, lg in enumerate(lb.layer_graphs, start=1):
@@ -294,10 +253,7 @@ def _cmd_gen_lower(args, files: _Files) -> int:
 
 def _cmd_probe(args, files: _Files) -> int:
     lb = parse_layered_json(files.read(args.graph))
-    part_of = _parse_partition_json(files.read(args.partition))
-    missing = [e for e in lb.all_edges() if e not in part_of]
-    if missing:
-        raise FormatError(f"partition does not cover edge {missing[0]}")
+    part_of = parse_partition_json(files.read(args.partition), lb.all_edges())
     files.config.update(budget_scale=args.budget_scale)
     trace = adversarial_probe(lb, part_of, budget_scale=args.budget_scale)
     for st in trace.stages:
@@ -455,7 +411,6 @@ def _parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
         p.add_argument("--manifest", help="write a run manifest JSON here")
 
     p = sub.add_parser("check", help="verify a colouring file against a graph")
@@ -489,6 +444,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=float, default=None, help="default 1/(1000 r)")
     p.add_argument("--epsilon", type=float, default=None, help="default delta^(r+2)")
+    p.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
     p.add_argument("-o", "--out", required=True, help="output JSON path")
     common(p)
     p.set_defaults(func=_cmd_gen_lower)
@@ -536,23 +492,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = _parser().parse_args(argv)
-    threads = _threads()
     files = _Files()
     started = time.perf_counter()
     try:
         code = args.func(args, files)
-    except (FormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.manifest:
         manifest = {
             "subcommand": args.command,
             "argv": argv,
-            "seed": args.seed,
-            "threads": threads,
             "inputs": files.inputs,
             "outputs": files.outputs,
             "config": files.config,

@@ -17,13 +17,11 @@ colouring is not an interval colouring of any supergraph of ``H``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graphs import (
     Edge,
-    FormatError,
     Graph,
     canonical_edge,
     diameter,
@@ -209,87 +207,3 @@ def colour_forest(f: Graph) -> EdgeColouring:
                 stack.append((w, v, nxt))
                 nxt += 1
     return EdgeColouring(f, colours)
-
-
-# ---------------------------------------------------------------------------
-# colouring files: graph text plus a third colour column, or a JSON mirror
-# ---------------------------------------------------------------------------
-
-def serialize_colouring_text(c: EdgeColouring) -> str:
-    g = c.graph
-    out = [f"{g.vertex_count} {g.edge_count}"]
-    out.extend(f"{u} {v} {c.colours[(u, v)]}" for u, v in g.edges)
-    return "\n".join(out) + "\n"
-
-
-def parse_colouring_text(text: str) -> EdgeColouring:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError("line 1: empty input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError(f"line 1: expected '<n> <m>', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise FormatError(f"line 1: non-integer header {lines[0]!r}") from None
-    if len(lines) - 1 != m:
-        raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    colours = {}
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 3:
-            raise FormatError(f"line {i}: expected '<u> <v> <colour>', got {ln!r}")
-        try:
-            u, v, col = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise FormatError(f"line {i}: non-integer field in {ln!r}") from None
-        edges.append((u, v))
-        colours[canonical_edge(u, v)] = col
-    try:
-        g = Graph(n, tuple(edges))
-        return EdgeColouring(g, colours)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
-
-
-def serialize_colouring_json(c: EdgeColouring) -> str:
-    g = c.graph
-    return json.dumps(
-        {
-            "n": g.vertex_count,
-            "edges": [[u, v] for u, v in g.edges],
-            "colours": [c.colours[e] for e in g.edges],
-        },
-        separators=(",", ":"),
-    ) + "\n"
-
-
-def parse_colouring_json(text: str) -> EdgeColouring:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from None
-    for key in ("n", "edges", "colours"):
-        if not isinstance(obj, dict) or key not in obj:
-            raise FormatError(f'expected an object with "{key}"')
-    if len(obj["edges"]) != len(obj["colours"]):
-        raise FormatError("edges and colours arrays differ in length")
-    try:
-        g = Graph(int(obj["n"]), tuple((int(u), int(v)) for u, v in obj["edges"]))
-        colours = {
-            canonical_edge(int(u), int(v)): int(col)
-            for (u, v), col in zip(obj["edges"], obj["colours"])
-        }
-        return EdgeColouring(g, colours)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(str(exc)) from None
-
-
-def load_colouring(path: str) -> EdgeColouring:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if path.endswith(".json"):
-        return parse_colouring_json(text)
-    return parse_colouring_text(text)

@@ -1,4 +1,4 @@
-"""Core graph containers and file formats.
+"""Core graph containers: graphs, bipartite graphs and edge partitions.
 
 Conventions used throughout the package:
 
@@ -6,17 +6,11 @@ Conventions used throughout the package:
   ``(u, v)`` with ``u < v`` and graphs are simple (no loops, no multi-edges);
 * a ``BipartiteGraph`` keeps explicit vertex *labels* for both sides (labels
   are arbitrary ints, typically ids of some ambient ``Graph``) and stores each
-  edge as ``(left_label, right_label)``;
-* the text format is ``"<n> <m>"`` on the first line followed by ``m`` lines
-  ``"<u> <v>"``; serialisation emits edges sorted lexicographically, parsing
-  accepts any order but rejects duplicates, loops and out-of-range ids;
-* the JSON format is ``{"n": n, "edges": [[u, v], ...]}`` with the same
-  validation rules.
+  edge as ``(left_label, right_label)``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -281,92 +275,3 @@ class EdgePartition:
 
     def part_sizes(self) -> list[int]:
         return [len(p) for p in self.parts()]
-
-
-# ---------------------------------------------------------------------------
-# file formats
-# ---------------------------------------------------------------------------
-
-class FormatError(ValueError):
-    """Raised for malformed graph/colouring files; message carries a line number."""
-
-
-def parse_graph_text(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines()]
-    idx = 0
-
-    def next_content_line():
-        nonlocal idx
-        while idx < len(lines):
-            ln = lines[idx].strip()
-            idx += 1
-            if ln:
-                return ln, idx
-        return None, idx
-
-    header, lineno = next_content_line()
-    if header is None:
-        raise FormatError("line 1: empty input")
-    head = header.split()
-    if len(head) != 2:
-        raise FormatError(f"line {lineno}: expected '<n> <m>', got {header!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise FormatError(f"line {lineno}: non-integer header {header!r}") from None
-    edges = []
-    for _ in range(m):
-        ln, lineno = next_content_line()
-        if ln is None:
-            raise FormatError(f"line {lineno}: expected {m} edges, file ended early")
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"line {lineno}: expected '<u> <v>', got {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer edge {ln!r}") from None
-        edges.append((u, v))
-    trailing, lineno = next_content_line()
-    if trailing is not None:
-        raise FormatError(f"line {lineno}: unexpected trailing content {trailing!r}")
-    try:
-        return Graph(n, tuple(edges))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
-
-
-def serialize_graph_text(g: Graph) -> str:
-    out = [f"{g.vertex_count} {g.edge_count}"]
-    out.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(out) + "\n"
-
-
-def parse_graph_json(text: str) -> Graph:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise FormatError('expected an object with "n" and "edges"')
-    try:
-        return Graph(int(obj["n"]), tuple((int(u), int(v)) for u, v in obj["edges"]))
-    except (TypeError, ValueError) as exc:
-        raise FormatError(str(exc)) from None
-
-
-def serialize_graph_json(g: Graph) -> str:
-    return json.dumps(
-        {"n": g.vertex_count, "edges": [[u, v] for u, v in g.edges]},
-        indent=None,
-        separators=(",", ":"),
-    ) + "\n"
-
-
-def load_graph(path: str) -> Graph:
-    """Load a graph from a path, dispatching on the .json suffix."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if path.endswith(".json"):
-        return parse_graph_json(text)
-    return parse_graph_text(text)

@@ -29,7 +29,6 @@ recorded but prove nothing.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -62,9 +61,12 @@ class LowerBoundParams:
             raise ValueError("ground side must be non-empty")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # also rejects NaN
             raise ValueError("epsilon must be positive")
-        worst = self.p(self.r)
+        try:
+            worst = self.p(self.r)
+        except OverflowError:  # delta^-r beyond the float range
+            worst = math.inf
         if worst > 1:
             raise ValueError(
                 f"edge probability eps*delta^-{self.r} = {worst:.3g} exceeds 1"
@@ -134,52 +136,6 @@ class LayeredBipartite:
             elif vertex in lg.right_adjacency:
                 total += len(lg.right_adjacency[vertex])
         return total
-
-
-def serialize_layered_json(lb: LayeredBipartite) -> str:
-    """JSON form with layer tags on edges; deterministic byte-for-byte."""
-    p = lb.params
-    edges = []
-    for i, lg in enumerate(lb.layer_graphs, start=1):
-        edges.extend([b, a, i] for b, a in lg.edges)
-    doc = {
-        "kind": "layered-bipartite",
-        "r": p.r,
-        "n": p.n,
-        "delta": p.delta,
-        "epsilon": p.epsilon,
-        "seed": p.seed,
-        "a_layers": [list(layer) for layer in lb.a_layers],
-        "edges": sorted(edges, key=lambda e: (e[2], e[0], e[1])),
-    }
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-
-
-def parse_layered_json(text: str) -> LayeredBipartite:
-    doc = json.loads(text)
-    if doc.get("kind") != "layered-bipartite":
-        raise ValueError("not a layered-bipartite JSON document")
-    params = LowerBoundParams(
-        r=doc["r"],
-        n=doc["n"],
-        delta=doc["delta"],
-        epsilon=doc["epsilon"],
-        seed=doc["seed"],
-    )
-    a_layers = tuple(tuple(layer) for layer in doc["a_layers"])
-    if len(a_layers) != params.r:
-        raise ValueError(f"expected {params.r} layers, found {len(a_layers)}")
-    ground = tuple(range(params.n))
-    by_layer: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, params.r + 1)}
-    for b, a, i in doc["edges"]:
-        if i not in by_layer:
-            raise ValueError(f"edge ({b},{a}) tagged with unknown layer {i}")
-        by_layer[i].append((b, a))
-    graphs = tuple(
-        BipartiteGraph(ground, a_layers[i - 1], tuple(by_layer[i]))
-        for i in range(1, params.r + 1)
-    )
-    return LayeredBipartite(params, a_layers, graphs)
 
 
 def generate(params: LowerBoundParams) -> LayeredBipartite:

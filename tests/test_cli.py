@@ -1,15 +1,30 @@
 """End-to-end command-line behaviour: output lines, files, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ilab.cli import main
-from ilab.colouring import parse_colouring_text, verify
-from ilab.randlab import parse_layered_json
+from ilab.colouring import verify
+from ilab.formats import (
+    parse_colouring_text,
+    parse_layered_json,
+    serialize_colouring_json,
+    serialize_colouring_text,
+    serialize_graph_json,
+    serialize_graph_text,
+    serialize_layered_json,
+)
+from ilab.planar import FamilySpec, extremal_family
+from ilab.randlab import LowerBoundParams, generate
 
 TRIANGLE = "3 3\n0 1\n0 2\n1 2\n"
 K4 = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -138,6 +153,7 @@ class TestGenLower:
         digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
         assert manifest["outputs"][str(out_file)] == digest
         assert manifest["config"]["r"] == 2 and manifest["exit_code"] == 0
+        assert manifest["config"]["seed"] == 0
 
     def test_zero_layers_is_usage_error(self, capsys, tmp_path):
         # the default delta is 1/(1000 r), so r = 0 must be refused before it
@@ -145,6 +161,13 @@ class TestGenLower:
                              "-o", str(tmp_path / "lb.json"))
         assert code == 2 and out == ""
         assert err.startswith("error:") and "--r" in err
+        assert not (tmp_path / "lb.json").exists()
+
+    def test_nan_epsilon_is_usage_error(self, capsys, tmp_path):
+        # the layered reader only takes finite numbers, so neither may the writer
+        code, _, err = run(capsys, "gen-lower", "--r", "2", "--n", "10", "--epsilon", "nan",
+                           "-o", str(tmp_path / "lb.json"))
+        assert code == 2 and err == "error: epsilon must be positive\n"
         assert not (tmp_path / "lb.json").exists()
 
 
@@ -206,6 +229,168 @@ class TestProbe:
         p.write_text(json.dumps({"edges": [[0, 300]], "parts": [0, 1]}))
         code, _, err = run(capsys, "probe", path, str(p))
         assert code == 2 and "1 edges but 2 part labels" in err
+
+
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _with(key, value):
+    return lambda doc: {**doc, key: value}
+
+
+class TestMalformedInput:
+    """Files that crashed with a traceback, or were silently accepted."""
+
+    @pytest.mark.parametrize(
+        "target,mutate",
+        [
+            pytest.param("layered", _without("n"), id="layered-no-n"),
+            pytest.param("layered", _with("n", 2.5), id="layered-float-n"),
+            pytest.param("layered", _with("a_layers", 5), id="layered-int-a_layers"),
+            pytest.param("layered", _with("edges", 3), id="layered-int-edges"),
+            pytest.param("layered", _with("r", "2"), id="layered-string-r"),
+            pytest.param("partition", lambda doc: [doc], id="partition-list"),
+            pytest.param(
+                "partition",
+                lambda doc: {"edges": doc["edges"] + doc["edges"][:1],
+                             "parts": doc["parts"] + [0]},
+                id="partition-duplicate-edge",
+            ),
+            pytest.param(
+                "partition",
+                lambda doc: {**doc, "parts": [0.5] + doc["parts"][1:]},
+                id="partition-float-label",
+            ),
+            pytest.param(
+                "partition",
+                lambda doc: {"edges": doc["edges"] + [[0, 1]], "parts": doc["parts"] + [0]},
+                id="partition-extra-edge",
+            ),
+            pytest.param("colouring", _with("edges", 7), id="colouring-int-edges"),
+            pytest.param("colouring", _with("colours", [0.9, 1.9]), id="colouring-floats"),
+            pytest.param("colouring", _with("colours", [True, 2]), id="colouring-bool"),
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, capsys, tmp_path, layered, target, mutate):
+        _, lb = layered
+        edges = [list(e) for e in lb.all_edges()]
+        docs = {
+            "layered": json.loads((tmp_path / "lb.json").read_text()),
+            "partition": {"edges": edges, "parts": [0] * len(edges)},
+            "colouring": {"n": 3, "edges": [[0, 1], [1, 2]], "colours": [0, 1]},
+        }
+        docs[target] = mutate(docs[target])
+        for name, doc in docs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        if target == "colouring":
+            (tmp_path / "p.txt").write_text(PATH)
+            argv = ["check", tmp_path / "p.txt", tmp_path / "colouring.json"]
+        else:
+            argv = ["probe", tmp_path / "layered.json", tmp_path / "partition.json"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+# Small valid inputs for the fuzz gate: the s=3 extremal family (6 vertices)
+# with its interval colouring, and a 12 + 4 vertex layered graph with a
+# layers-as-parts partition. Header counts stay small under mutation, since
+# bit_split allocates 2^ceil(log2 n) ids for a header n.
+_FAMILY, _FAMILY_COLOURING = extremal_family(FamilySpec(s=3, removed_curved=frozenset({1})))
+_LAYERED = generate(LowerBoundParams(r=2, n=12, delta=0.3, epsilon=0.05, seed=1))
+_PARTITION = sorted(
+    (min(b, a), max(b, a), i)
+    for i, lg in enumerate(_LAYERED.layer_graphs)
+    for b, a in lg.edges
+)
+FUZZ_FILES = {
+    "g.txt": serialize_graph_text(_FAMILY),
+    "g.json": serialize_graph_json(_FAMILY),
+    "c.txt": serialize_colouring_text(_FAMILY_COLOURING),
+    "c.json": serialize_colouring_json(_FAMILY_COLOURING),
+    "lb.json": serialize_layered_json(_LAYERED),
+    "parts.json": json.dumps(
+        {"edges": [[u, v] for u, v, _ in _PARTITION], "parts": [i for _, _, i in _PARTITION]}
+    ),
+}
+FUZZ_COMMANDS = [
+    ["check", "g.txt", "c.txt"],
+    ["check", "g.json", "c.json"],
+    ["solve", "g.txt", "--node-limit", "2000"],
+    ["solve", "g.json", "--mode", "theta", "--kmax", "2", "--node-limit", "2000"],
+    ["decompose", "g.txt"],
+    ["bound", "g.json", "--k", "3"],
+    ["split", "g.txt", "c.json"],
+    ["probe", "lb.json", "parts.json", "--budget-scale", "0.1"],
+]
+# whole tokens only, each spliced in with spaces so that no number can grow
+FUZZ_TOKENS = ["-1", "1.5", "x", "true", "null", '"2"', "[]", "{}"]
+
+
+@st.composite
+def retyped(draw, value):
+    """``value`` with one nested entry dropped, or replaced by another type."""
+    if isinstance(value, dict) and value:
+        key = draw(st.sampled_from(sorted(value)))
+        if draw(st.booleans()):
+            return {k: v for k, v in value.items() if k != key}
+        return {**value, key: draw(retyped(value[key]))}
+    if isinstance(value, list) and value and draw(st.booleans()):
+        i = draw(st.integers(0, len(value) - 1))
+        return value[:i] + [draw(retyped(value[i]))] + value[i + 1:]
+    others = [None, True, "2", 0.5, [], {}, [value]]
+    if isinstance(value, (int, list)):
+        others.append(value * 2)
+    if type(value) is int:
+        others += [value + 1, -1 - value, value + 0.5, str(value)]
+    return draw(st.sampled_from(others))
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` with whole tokens deleted, duplicated or replaced, or, for a
+    JSON file, one value retyped."""
+    if text.startswith("{") and draw(st.booleans()):
+        return json.dumps(draw(retyped(json.loads(text))))
+    tokens = re.findall(r'\s+|"[^"]*"|[\[\]{},:]|[^\s\[\]{},:"]+', text)
+    for _ in range(draw(st.integers(1, 3))):
+        solid = [i for i, tok in enumerate(tokens) if not tok.isspace()]
+        i = draw(st.sampled_from(solid))
+        op = draw(st.sampled_from(["delete", "duplicate", "renumber", "replace"]))
+        if op == "delete":
+            tokens[i] = " "
+        elif op == "duplicate":
+            tokens[i] = f"{tokens[i]} {tokens[i]}"
+        elif op == "renumber":
+            tokens[i] = f" {draw(st.integers(0, 9))} "
+        else:
+            tokens[i] = f" {draw(st.sampled_from(FUZZ_TOKENS))} "
+    return "".join(tokens)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_inputs_exit_cleanly(tmp_path, data):
+    """Every subcommand answers a corrupted file with a documented exit code."""
+    argv = data.draw(st.sampled_from(FUZZ_COMMANDS))
+    names = [a for a in argv[1:] if a in FUZZ_FILES]
+    victim = data.draw(st.sampled_from(names))
+    for name in names:
+        text = FUZZ_FILES[name]
+        (tmp_path / name).write_text(data.draw(mutated(text)) if name == victim else text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(tmp_path / a) if a in FUZZ_FILES else a for a in argv])
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert err.getvalue().startswith("error:")
 
 
 class TestPlanarCommands:
@@ -278,31 +463,28 @@ class TestHarness:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_invalid_threads_warns(self, capsys, files, monkeypatch):
-        monkeypatch.setenv("ILAB_THREADS", "zap")
-        g = files("p.txt", PATH)
-        c = files("c.txt", "3 2\n0 1 0\n1 2 1\n")
-        code, _, err = run(capsys, "check", g, c)
-        assert code == 0 and "warning: ignoring invalid ILAB_THREADS='zap'" in err
-
-    def test_threads_echoed_in_manifest(self, capsys, files, tmp_path, monkeypatch):
-        monkeypatch.setenv("ILAB_THREADS", "4")
+    def test_manifest_records_inputs(self, capsys, files, tmp_path):
         g = files("p.txt", PATH)
         c = files("c.txt", "3 2\n0 1 0\n1 2 1\n")
         manifest = tmp_path / "m.json"
         run(capsys, "check", g, c, "--manifest", str(manifest))
         doc = json.loads(manifest.read_text())
-        assert doc["threads"] == 4 and doc["subcommand"] == "check"
+        assert doc["subcommand"] == "check" and doc["exit_code"] == 0
         digest = hashlib.sha256(TRIANGLE.replace("3 3", "x").encode()).hexdigest()
         assert g in doc["inputs"] and doc["inputs"][g] != digest
+        assert doc["inputs"][g] == hashlib.sha256(PATH.encode()).hexdigest()
+        assert "seed" not in doc and "threads" not in doc
 
     def test_module_entry_point(self, tmp_path):
         g = tmp_path / "t.txt"
         g.write_text(TRIANGLE)
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "ilab", "solve", str(g), "--mode", "theta"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout == "interval thickness: 2\n"

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ilab import EdgeColouring, Graph, colour_forest, count_colours, spread_cap, spread_check, verify
-from ilab.colouring import (
+from ilab.colouring import span_bounded
+from ilab.formats import (
+    FormatError,
     parse_colouring_json,
     parse_colouring_text,
     serialize_colouring_json,
     serialize_colouring_text,
-    span_bounded,
 )
-from ilab.graphs import FormatError
 
 
 def colouring(n, coloured_edges):
@@ -160,13 +160,21 @@ def test_colouring_json_round_trip(f):
     assert back.colours == c.colours
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["", "1 1\n", "2 1\n0 1\n", "2 1\n0 1 x\n", "2 2\n0 1 0\n0 1 1\n"],
-)
+COLOURING_ERRORS = {
+    "": "empty",
+    "1 1\n": "file ended early",
+    "2 1\n0 1\n": "expected '<u> <v> <colour>'",
+    "2 1\n0 1 x\n": "line 2: non-integer",
+    "2 2\n0 1 0\n0 1 1\n": "duplicate",
+    "3 1\n\n\n\n0 1 x\n": "line 5: non-integer",  # blank lines count
+}
+
+
+@pytest.mark.parametrize("text", list(COLOURING_ERRORS))
 def test_colouring_parse_errors(text):
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as err:
         parse_colouring_text(text)
+    assert COLOURING_ERRORS[text] in str(err.value)
 
 
 def test_domain_mismatch_rejected():

@@ -4,15 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ilab import EdgePartition, FormatError, Graph, canonical_edge
-from ilab.graphs import (
-    BipartiteGraph,
-    diameter,
-    induced_subgraph,
+from ilab.formats import (
     parse_graph_json,
     parse_graph_text,
     serialize_graph_json,
     serialize_graph_text,
 )
+from ilab.graphs import BipartiteGraph, diameter, induced_subgraph
 
 
 @st.composite
@@ -87,6 +85,8 @@ def test_json_round_trip(g):
         ("2 1\n0 0\n", "loop edge"),
         ("2 1\n0 2\n", "range"),
         ("2 2\n0 1\n0 1\n", "duplicate"),
+        ("3 1\n\n\n\n0 1 x\n", "line 5: expected '<u> <v>'"),
+        ("3 -1\n", "line 1: negative edge count"),
     ],
 )
 def test_text_parse_errors(text, message_part):

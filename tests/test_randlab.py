@@ -16,8 +16,9 @@ from ilab import (
     generate,
     validate_spread_witness,
 )
+from ilab.formats import parse_layered_json, serialize_layered_json
 from ilab.graphs import BipartiteGraph
-from ilab.randlab import parse_layered_json, probe_budget, serialize_layered_json
+from ilab.randlab import probe_budget
 
 
 # a layered instance engineered so the stage-2 witness scan must trigger:
