@@ -123,16 +123,17 @@ def _cmd_check(args, files: _Files) -> int:
 
 def _cmd_solve(args, files: _Files) -> int:
     g = _load_graph(files, args.graph)
-    budget = SearchBudget(
-        max_colours=args.max_colours,
-        node_limit=args.node_limit,
-        time_limit=args.time_limit,
-    )
+    if args.max_colours is not None:
+        if args.mode != "colourable":
+            raise ValueError("--max-colours applies to --mode colourable only")
+        if args.max_colours < 1:
+            raise ValueError("max_colours must be >= 1")
+    budget = SearchBudget(node_limit=args.node_limit, time_limit=args.time_limit)
     files.config.update(mode=args.mode, kmax=args.kmax, max_colours=args.max_colours)
     try:
         if args.mode == "colourable":
             try:
-                c = find_interval_colouring(g, budget)
+                c = find_interval_colouring(g, budget, max_colours=args.max_colours)
             except ValueError as exc:
                 print(f"not interval colourable within the palette: {exc}")
                 return 1
@@ -424,10 +425,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", choices=["colourable", "tmax", "theta"], default="colourable"
     )
-    p.add_argument("--max-colours", type=int, default=None)
+    p.add_argument("--max-colours", type=int, default=None, help="colourable mode only")
     p.add_argument("--kmax", type=int, default=4, help="thickness search cap")
     p.add_argument("--node-limit", type=int, default=5_000_000)
-    p.add_argument("--time-limit", type=float, default=None, help="seconds")
+    p.add_argument("--time-limit", type=float, default=None, help="positive seconds")
     p.add_argument("-o", "--out", help="write the witness colouring/partition here")
     common(p)
     p.set_defaults(func=_cmd_solve)

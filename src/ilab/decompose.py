@@ -62,7 +62,6 @@ class DichotomyBug(RuntimeError):
 @dataclass(frozen=True)
 class PipelineConfig:
     delta: float = 0.25
-    stopping_constant: float = 200.0  # factor-size guarantee d^{1/delta} n^2 / this
 
     def __post_init__(self):
         if not 0 < self.delta < 1:

@@ -16,9 +16,18 @@ Distinct colours are bounded by both the edge count and twice the vertex
 count, hence pinning one edge of each component to colour 0 and searching the
 window ``[-(W-1), W-1]`` with ``W = min(2 * n_comp, m_comp)`` is exhaustive.
 
+All three searches colour a graph through one routine, ``_colour_components``,
+which runs that pinned search per component on a shared node/time meter.
+Only ``find_interval_colouring`` may narrow the window (its ``max_colours``
+cap); exhausting a narrowed window raises SearchBudgetExceeded, never None.
+The function ``max_colours`` widens each component's palette from its first
+colouring's up to the window.
+
 Thickness enumerates edge-to-part assignments in restricted-growth order
 (edge 0 in part 0; a new part index may appear only after all smaller ones),
-which kills part-permutation symmetry; per-subset colourability is memoised.
+which kills part-permutation symmetry. One dict maps each part's edge set to
+its colouring, or None when it has none, so no part is searched twice and the
+winning parts' colourings are read from it.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ import time
 from dataclasses import dataclass
 
 from .colouring import EdgeColouring
-from .graphs import Edge, EdgePartition, Graph, canonical_edge, induced_subgraph
+from .graphs import Edge, EdgePartition, Graph, induced_subgraph
 
 
 class SearchBudgetExceeded(Exception):
@@ -37,24 +46,19 @@ class SearchBudgetExceeded(Exception):
 
 @dataclass
 class SearchBudget:
-    """Resource limits for the exact searches.
+    """Resource limits shared by every sub-search of one exact call.
 
-    ``max_colours`` caps the number of distinct colours per component; the
-    default (None) is the sound window min(2 * n_comp, m_comp). An explicit
-    value below a component's max degree is rejected outright, and a value
-    below the sound window turns exhaustion into SearchBudgetExceeded instead
-    of an (unsound) "none".
+    ``time_limit`` is in seconds and is checked every 1024 search nodes.
     """
 
-    max_colours: int | None = None
     node_limit: int | None = 5_000_000
     time_limit: float | None = None
 
     def __post_init__(self):
-        if self.max_colours is not None and self.max_colours < 1:
-            raise ValueError("max_colours must be >= 1")
         if self.node_limit is not None and self.node_limit < 1:
             raise ValueError("node_limit must be >= 1")
+        if self.time_limit is not None and not 0 < self.time_limit < math.inf:
+            raise ValueError(f"time_limit must be positive finite seconds, got {self.time_limit}")
 
 
 class _Meter:
@@ -66,7 +70,7 @@ class _Meter:
         self.nodes = 0
         self.node_limit = budget.node_limit
         self.deadline = (
-            time.monotonic() + budget.time_limit if budget.time_limit else None
+            None if budget.time_limit is None else time.monotonic() + budget.time_limit
         )
 
     def tick(self):
@@ -195,54 +199,55 @@ def _search_component(
     return dict(sol) if dfs(0) else None
 
 
-def _component_pieces(g: Graph) -> list[tuple[list[Edge], dict[int, int]]]:
-    """Per component: connected edge order plus degree table (original ids)."""
-    pieces = []
+def _colour_components(
+    g: Graph, meter: _Meter, cap: int | None = None
+) -> list[tuple[list[Edge], dict[int, int], int, dict[Edge, int]]] | None:
+    """Colour every component of ``g`` in its sound window, narrowed to ``cap``.
+
+    Per component with edges: its connected edge order, degree table, sound
+    window ``W`` and a colouring pinned to 0 on the first edge within
+    ``[-(w-1), w-1]``, ``w = min(W, cap)``. None means some component has no
+    interval colouring; exhausting a narrowed window proves nothing, so it
+    raises SearchBudgetExceeded instead.
+    """
+    found = []
     for comp in g.components():
         comp_set = set(comp)
-        comp_edges = [e for e in g.edges if e[0] in comp_set]
-        if not comp_edges:
+        edges = [e for e in g.edges if e[0] in comp_set]
+        if not edges:
             continue
+        edges = _connected_edge_order(edges)
         deg = {v: g.degree(v) for v in comp}
-        pieces.append((_connected_edge_order(comp_edges), deg))
-    return pieces
-
-
-def _sound_window(n_comp_vertices: int, m_comp: int) -> int:
-    return min(2 * n_comp_vertices, m_comp)
-
-
-def find_interval_colouring(
-    g: Graph, budget: SearchBudget | None = None
-) -> EdgeColouring | None:
-    """An interval colouring of ``g``, or None if there is none.
-
-    None is only returned after an exhaustive search of the sound palette
-    window for every component; budget limits that bite first raise
-    SearchBudgetExceeded.
-    """
-    budget = budget or SearchBudget()
-    if budget.max_colours is not None and budget.max_colours < g.max_degree:
-        raise ValueError(
-            f"max_colours={budget.max_colours} below max degree {g.max_degree}"
-        )
-    meter = _Meter(budget)
-    colours: dict[Edge, int] = {}
-    for edges, deg in _component_pieces(g):
-        wsound = _sound_window(len(deg), len(edges))
-        w = wsound if budget.max_colours is None else min(budget.max_colours, wsound)
-        sol = _search_component(
-            edges, deg, lo=-(w - 1), hi=w - 1, meter=meter, pin_first=0
-        )
+        window = min(2 * len(comp), len(edges))
+        w = window if cap is None else min(cap, window)
+        sol = _search_component(edges, deg, lo=-(w - 1), hi=w - 1, meter=meter, pin_first=0)
         if sol is None:
-            if w < wsound:
+            if w < window:
                 raise SearchBudgetExceeded(
-                    f"palette budget {w} below sound window {wsound}; "
+                    f"palette budget {w} below sound window {window}; "
                     "search exhausted inconclusively"
                 )
             return None
-        colours.update(sol)
-    return EdgeColouring(g, colours)
+        found.append((edges, deg, window, sol))
+    return found
+
+
+def find_interval_colouring(
+    g: Graph, budget: SearchBudget | None = None, max_colours: int | None = None
+) -> EdgeColouring | None:
+    """An interval colouring of ``g``, or None if there is none.
+
+    ``max_colours`` caps the distinct colours per component; it must be at
+    least the max degree. None is only returned after an exhaustive search of
+    every component's sound window; exhausting a window the cap narrowed, or
+    a budget limit that bites first, raises SearchBudgetExceeded.
+    """
+    if max_colours is not None and max_colours < g.max_degree:
+        raise ValueError(f"max_colours={max_colours} below max degree {g.max_degree}")
+    found = _colour_components(g, _Meter(budget or SearchBudget()), max_colours)
+    if found is None:
+        return None
+    return EdgeColouring(g, {e: c for *_, sol in found for e, c in sol.items()})
 
 
 def max_colours(
@@ -251,33 +256,19 @@ def max_colours(
     """Maximum number of distinct colours over interval colourings of ``g``.
 
     Returns ``(t, witness)`` or None if ``g`` is not interval colourable.
-    Components are maximised independently and translated apart, so the
-    returned witness attains the sum.
+    Each component's palette is raised from its first colouring's up to its
+    sound window; components are maximised independently and translated
+    apart, so the returned witness attains the sum.
     """
-    budget = budget or SearchBudget()
-    if budget.max_colours is not None and budget.max_colours < g.max_degree:
-        raise ValueError(
-            f"max_colours={budget.max_colours} below max degree {g.max_degree}"
-        )
-    meter = _Meter(budget)
-    total = 0
+    meter = _Meter(budget or SearchBudget())
+    found = _colour_components(g, meter)
+    if found is None:
+        return None
     combined: dict[Edge, int] = {}
     offset = 0
-    for edges, deg in _component_pieces(g):
-        wsound = _sound_window(len(deg), len(edges))
-        w = wsound if budget.max_colours is None else min(budget.max_colours, wsound)
-        base = _search_component(
-            edges, deg, lo=-(w - 1), hi=w - 1, meter=meter, pin_first=0
-        )
-        if base is None:
-            if w < wsound:
-                raise SearchBudgetExceeded(
-                    f"palette budget {w} below sound window {wsound}"
-                )
-            return None
-        best_t = len(set(base.values()))
-        best = base
-        for t_try in range(best_t + 1, w + 1):
+    for edges, deg, window, best in found:
+        best_t = len(set(best.values()))
+        for t_try in range(best_t + 1, window + 1):
             sol = _search_component(
                 edges,
                 deg,
@@ -289,16 +280,10 @@ def max_colours(
             )
             if sol is not None:
                 best_t, best = t_try, sol
-        if w < wsound:
-            raise SearchBudgetExceeded(
-                f"palette budget {w} below sound window {wsound}; "
-                "maximum not certified"
-            )
         shift = offset - min(best.values())
         combined.update({e: c + shift for e, c in best.items()})
         offset += best_t
-        total += best_t
-    return total, EdgeColouring(g, combined)
+    return offset, EdgeColouring(g, combined)
 
 
 # ---------------------------------------------------------------------------
@@ -315,33 +300,6 @@ class ThicknessResult:
     nodes: int = 0
 
 
-class _Memo:
-    def __init__(self):
-        self.table: dict[frozenset, bool] = {}
-
-
-def _subset_colourable(
-    g: Graph, edge_subset: tuple[Edge, ...], meter: _Meter, memo: _Memo
-) -> EdgeColouring | None:
-    key = frozenset(edge_subset)
-    sub = Graph(g.vertex_count, edge_subset)
-    known = memo.table.get(key)
-    if known is False:
-        return None
-    colours: dict[Edge, int] = {}
-    for edges, deg in _component_pieces(sub):
-        w = _sound_window(len(deg), len(edges))
-        sol = _search_component(
-            edges, deg, lo=-(w - 1), hi=w - 1, meter=meter, pin_first=0
-        )
-        if sol is None:
-            memo.table[key] = False
-            return None
-        colours.update(sol)
-    memo.table[key] = True
-    return EdgeColouring(sub, colours)
-
-
 def exact_thickness(
     g: Graph, k_max: int = 4, budget: SearchBudget | None = None
 ) -> ThicknessResult | None:
@@ -356,14 +314,23 @@ def exact_thickness(
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    budget = budget or SearchBudget()
-    meter = _Meter(budget)
+    meter = _Meter(budget or SearchBudget())
     m = g.edge_count
     if m == 0:
         empty = EdgePartition(g, {}, 0)
         return ThicknessResult(0, empty, [], False, meter.nodes)
-    memo = _Memo()
+    memo: dict[frozenset[Edge], EdgeColouring | None] = {}
     edges = list(g.edges)
+
+    def colouring_of(part: list[Edge]) -> EdgeColouring | None:
+        key = frozenset(part)
+        if key not in memo:
+            sub = Graph(g.vertex_count, tuple(part))
+            found = _colour_components(sub, meter)
+            memo[key] = None if found is None else EdgeColouring(
+                sub, {e: c for *_, sol in found for e, c in sol.items()}
+            )
+        return memo[key]
 
     for k in range(1, k_max + 1):
         assignment = [0] * m
@@ -377,7 +344,7 @@ def exact_thickness(
                     parts[assignment[j]].append(e)
                 for part in parts:
                     meter.tick()
-                    if _subset_colourable(g, tuple(part), meter, memo) is None:
+                    if colouring_of(part) is None:
                         return False
                 found = parts
                 return True
@@ -389,17 +356,10 @@ def exact_thickness(
                     return True
             return False
 
-        if dfs(1 if m else 0, 1):
-            assert found is not None
-            part_of = {}
-            colourings = []
-            for idx, part in enumerate(found):
-                for e in part:
-                    part_of[e] = idx
-                col = _subset_colourable(g, tuple(part), meter, memo)
-                assert col is not None
-                colourings.append(col)
+        if dfs(1, 1):
+            part_of = {e: idx for idx, part in enumerate(found) for e in part}
             partition = EdgePartition(g, part_of, len(found))
+            colourings = [colouring_of(part) for part in found]
             return ThicknessResult(len(found), partition, colourings, False, meter.nodes)
     return None
 

@@ -23,6 +23,8 @@ these rules:
   duplicates, no ids outside ``0..n-1``;
 * a partition names every edge of its layered graph exactly once, and no
   other edge;
+* ``a_layers`` numbers the A vertices ``n, n+1, ...`` consecutively, layer
+  by layer, each layer in ascending order (as ``gen-lower`` writes them);
 * an edge tagged with layer ``i`` joins a ground vertex ``0..n-1`` to a
   vertex listed in ``a_layers[i - 1]``.
 """
@@ -235,6 +237,11 @@ def parse_layered_json(text: str) -> LayeredBipartite:
     a_layers = tuple(map(tuple, _int_rows(doc, "a_layers", None)))
     if len(a_layers) != r:
         raise FormatError(f"expected {r} layers, found {len(a_layers)}")
+    start = n
+    for i, layer in enumerate(a_layers, start=1):
+        if layer != tuple(range(start, start + len(layer))):
+            raise FormatError(f"A_{i} must be the ids {start}..{start + len(layer) - 1} in order")
+        start += len(layer)
     by_layer: list[list[Edge]] = [[] for _ in range(r)]
     for b, a, i in _int_rows(doc, "edges", 3):
         if not 1 <= i <= r:

@@ -49,10 +49,6 @@ class Graph:
             norm.append(e)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
-    @classmethod
-    def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        return cls(vertex_count, tuple(edges))
-
     @property
     def edge_count(self) -> int:
         return len(self.edges)
@@ -272,6 +268,3 @@ class EdgePartition:
         for e in self.graph.edges:  # canonical order
             out[self.part_of[e]].append(e)
         return out
-
-    def part_sizes(self) -> list[int]:
-        return [len(p) for p in self.parts()]

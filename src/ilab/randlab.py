@@ -164,11 +164,6 @@ def generate(params: LowerBoundParams) -> LayeredBipartite:
 class DensePartHypothesis:
     p: float
     r: int
-    gamma: float = 0.1  # tolerated deleted-edge proportion
-
-    def __post_init__(self):
-        if not 0 <= self.gamma <= 0.1:
-            raise ValueError("gamma must lie in [0, 0.1]")
 
     @property
     def alpha(self) -> float:

@@ -30,6 +30,10 @@ TRIANGLE = "3 3\n0 1\n0 2\n1 2\n"
 K4 = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 C4 = "4 4\n0 1\n0 3\n1 2\n2 3\n"
 C5 = "5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n"
+PETERSEN = (
+    "10 15\n0 1\n1 2\n2 3\n3 4\n0 4\n5 7\n6 8\n7 9\n5 8\n6 9\n"
+    "0 5\n1 6\n2 7\n3 8\n4 9\n"
+)
 PATH = "3 2\n0 1\n1 2\n"
 
 
@@ -115,6 +119,25 @@ class TestSolve:
     def test_budget_exhaustion(self, capsys, files):
         code, out, _ = run(capsys, "solve", files("c5.txt", C5), "--max-colours", "3")
         assert code == 3 and out.startswith("budget exhausted")
+
+    @pytest.mark.parametrize("mode", ["tmax", "theta"])
+    def test_palette_cap_is_colourable_mode_only(self, capsys, files, mode):
+        g = files("k4.txt", K4)
+        code, out, err = run(capsys, "solve", g, "--mode", mode, "--max-colours", "3")
+        assert code == 2 and out == ""
+        assert err == "error: --max-colours applies to --mode colourable only\n"
+
+    @pytest.mark.parametrize("limit", ["0", "nan", "-5", "inf"])
+    def test_time_limit_must_be_positive(self, capsys, files, limit):
+        code, out, err = run(capsys, "solve", files("k4.txt", K4), "--time-limit", limit)
+        assert code == 2 and out == ""
+        assert err.startswith("error: time_limit must be positive") and err.count("\n") == 1
+
+    def test_time_limit_exhaustion(self, capsys, files):
+        # refuting the Petersen graph takes 4761 nodes; the clock is read every 1024
+        g = files("petersen.txt", PETERSEN)
+        code, out, _ = run(capsys, "solve", g, "--time-limit", "1e-9")
+        assert code == 3 and out == "budget exhausted: time limit exceeded\n"
 
 
 class TestDecompose:
@@ -292,6 +315,28 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "renumber,a_layers",
+        [
+            pytest.param({16: 20}, [[12, 13, 14, 15], [20]], id="gap"),
+            pytest.param({}, [[15, 14, 13, 12], [16]], id="descending"),
+        ],
+    )
+    def test_a_layers_number_a_vertices_in_order(self, capsys, tmp_path, renumber, a_layers):
+        # gen-lower numbers A_1, A_2, ... consecutively from n; edges and the
+        # partition follow any renumbering, so only a_layers is at fault
+        doc = json.loads(FUZZ_FILES["lb.json"])
+        assert doc["n"] == 12 and doc["a_layers"] == [[12, 13, 14, 15], [16]]
+        doc["a_layers"] = a_layers
+        doc["edges"] = [[b, renumber.get(a, a), i] for b, a, i in doc["edges"]]
+        parts = json.loads(FUZZ_FILES["parts.json"])
+        parts["edges"] = [[u, renumber.get(v, v)] for u, v in parts["edges"]]
+        (tmp_path / "lb.json").write_text(json.dumps(doc))
+        (tmp_path / "parts.json").write_text(json.dumps(parts))
+        code, out, err = run(capsys, "probe", tmp_path / "lb.json", tmp_path / "parts.json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: A_") and err.count("\n") == 1
 
 
 # Small valid inputs for the fuzz gate: the s=3 extremal family (6 vertices)

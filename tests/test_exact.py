@@ -9,6 +9,7 @@ with Delta colours, but both graphs have chromatic index 5 > Delta = 4.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -24,6 +25,7 @@ from ilab import (
     peel_sequence,
     verify,
 )
+from ilab import exact
 
 TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
 K4 = Graph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
@@ -88,7 +90,7 @@ class TestFrozenValues:
         assert find_interval_colouring(K5_MINUS) is None
 
     def test_k4_is_colourable_with_exactly_max_degree_colours(self):
-        c = find_interval_colouring(K4, budget=SearchBudget(max_colours=3))
+        c = find_interval_colouring(K4, max_colours=3)
         assert c is not None and verify(c).interval
 
 
@@ -102,18 +104,34 @@ def test_disconnected_components_translate_apart():
 def test_explicit_budget_below_sound_window_raises_not_none():
     # C5 has no colouring; proving "none" needs the full palette window
     with pytest.raises(SearchBudgetExceeded):
-        find_interval_colouring(C5, budget=SearchBudget(max_colours=3))
+        find_interval_colouring(C5, max_colours=3)
 
 
 def test_palette_below_max_degree_is_a_value_error():
     with pytest.raises(ValueError):
-        find_interval_colouring(K4, budget=SearchBudget(max_colours=2))
+        find_interval_colouring(K4, max_colours=2)
 
 
 def test_node_limit_exhaustion():
     g = Graph(10, random_graph(10, 0.5, seed=1))
     with pytest.raises(SearchBudgetExceeded):
         find_interval_colouring(g, budget=SearchBudget(node_limit=3))
+
+
+def test_thickness_searches_each_part_once(monkeypatch):
+    # the memo holds colourings, so the winning parts' witnesses come from it
+    searched = Counter()
+    colour_components = exact._colour_components
+
+    def counted(g, meter, cap=None):
+        searched[g.edges] += 1
+        return colour_components(g, meter, cap)
+
+    monkeypatch.setattr(exact, "_colour_components", counted)
+    res = exact_thickness(K5)
+    assert res.theta == 2 and max(searched.values()) == 1
+    for part, colouring in zip(res.partition.parts(), res.colourings):
+        assert colouring.graph.edges == tuple(part) and verify(colouring).interval
 
 
 def test_thickness_gives_up_beyond_k_max():
