@@ -175,9 +175,10 @@ def _cmd_decompose(args, files: _Files) -> int:
     files.config.update(delta=cfg.delta, gamma=cfg.gamma)
     report = decompose_theta(g, cfg)
     all_ok = all(verify(c).interval for c in report.part_colourings())
+    regular = sum(isinstance(part, FactorPart) for part in report.parts)
     print(
         f"{g.edge_count} edges -> {report.part_count} parts "
-        f"({len(report.factors)} regular, {len(report.forest_parts)} forest) "
+        f"({regular} regular, {report.part_count - regular} forest) "
         f"across {len(report.layers)} layers"
     )
     if report.stuck_layers:
@@ -186,10 +187,10 @@ def _cmd_decompose(args, files: _Files) -> int:
     print("all parts verified interval" if all_ok else "PART VERIFICATION FAILED")
     if args.report:
         parts_doc = []
-        for part in sorted(report.factors + report.forest_parts, key=lambda p: p.index):
-            edges = [list(e) for e in sorted(part.colouring.colours)]
+        for index, part in enumerate(report.parts):
+            edges = [list(e) for e in part.colouring.graph.edges]
             doc_entry = {
-                "index": part.index,
+                "index": index,
                 "layer_bit": part.layer_bit,
                 "edges": edges,
                 "colours": [part.colouring.colours[tuple(e)] for e in edges],

@@ -21,15 +21,18 @@ fails; the violating pair is read off the min cut of the flow network
 capacity k). When k = 1 no network is built: the factor is a perfect
 matching (Hopcroft–Karp), and failing that the same pair comes from König's
 alternating search out of the unmatched left vertices. From a violation
-(A, B) with |A| <= |B|, writing C and D for the complements of B and A in
-their classes, at least one of two escapes holds
+(A, B) with |A| <= |B| (A may lie in either class; the step orients the
+pair once), writing C and D for the complements of B and A in their
+classes, at least one of two escapes holds
 (when k <= d*n/100; see DensityIncrementStuck for the clamped regime):
 
     e(A, C) >= d |A| |C|^{1-delta} n^{delta}        (pair A x C)
     e(D, F) >= d |D|^{1-delta} n^{1+delta}          (pair D x F, F = B's class)
 
 and trimming the larger side to the top-degree vertices yields an equal-part
-restriction whose density ratio satisfies d'/d >= (n/n')^delta. The potential
+restriction whose density ratio satisfies d'/d >= (n/n')^delta. Every count
+comes from adjacency: e(A, C) is the sum of A's neighbour counts in C, e(D, F)
+the degree sum over D, and a restriction's edges the kept counts. The potential
 d_i * n_i^delta never decreases along the trace, and part sizes strictly
 shrink, so the loop terminates in a factor.
 """
@@ -211,18 +214,15 @@ class IncrementStep:
 
 
 def _top_by_degree(
-    b: BipartiteGraph, candidates: tuple[int, ...], into: set[int], count: int, side: str
-) -> tuple[int, ...]:
-    """The `count` candidates with most edges into `into` (ties by label)."""
-    adj = b.left_adjacency if side == "left" else b.right_adjacency
-    scored = sorted(
-        candidates, key=lambda x: (-sum(1 for y in adj[x] if y in into), x)
-    )
-    return tuple(sorted(scored[:count]))
-
-
-def _edges_between(b: BipartiteGraph, lefts: set[int], rights: set[int]) -> int:
-    return sum(1 for u, v in b.edges if u in lefts and v in rights)
+    scores: dict[int, int], size: int, delta: float
+) -> tuple[float, list[int]]:
+    """Potential d' * size^delta of the square restriction on the `size`
+    top-scored labels (ties by label), and those labels; a score counts edges
+    into the other side, so the kept scores sum to the restriction's edges.
+    """
+    kept = sorted(scores, key=lambda x: (-scores[x], x))[:size]
+    edges = sum(scores[x] for x in kept)
+    return edges / (size * size) * size**delta, kept
 
 
 def density_increment_step(b: BipartiteGraph, cfg: PipelineConfig) -> IncrementStep:
@@ -240,44 +240,33 @@ def density_increment_step(b: BipartiteGraph, cfg: PipelineConfig) -> IncrementS
         return IncrementStep(kind="factor", k=k, factor=w.factor)
 
     xs, ys = w.violation
-    # Relabel so |A| <= |B|; A's class supplies D, B's class supplies C/F.
-    if len(xs) <= len(ys):
-        a, bb, a_side = xs, ys, "left"
-    else:
-        a, bb, a_side = ys, xs, "right"
-    a_class = b.left if a_side == "left" else b.right
-    b_class = b.right if a_side == "left" else b.left
-    c = tuple(v for v in b_class if v not in set(bb))
-    dd = tuple(v for v in a_class if v not in set(a))
+    # A is the smaller side of the violation, B the other; D is the rest of
+    # A's class and C the rest of B's class F. A vertex's score is its number
+    # of neighbours in the opposite set, so scores of A into C sum to e(A, C)
+    # and degrees over D sum to e(D, F).
+    a_left = len(xs) <= len(ys)
+    a, bb = (xs, ys) if a_left else (ys, xs)
+    a_class, f_class = (b.left, b.right) if a_left else (b.right, b.left)
+    a_adj = b.left_adjacency if a_left else b.right_adjacency
+    bset, aset = set(bb), set(a)
+    c = [v for v in f_class if v not in bset]
+    dd = [u for u in a_class if u not in aset]
 
-    def pair_edges(from_a_side: tuple[int, ...], other: tuple[int, ...]) -> int:
-        if a_side == "left":
-            return _edges_between(b, set(from_a_side), set(other))
-        return _edges_between(b, set(other), set(from_a_side))
-
-    candidates: list[tuple[float, str, tuple[int, ...], tuple[int, ...]]] = []
+    candidates = []  # (potential, escape, kept labels of both classes)
     if c:
-        e_ac = pair_edges(a, c)
-        if e_ac >= d * len(a) * len(c) ** (1 - delta) * n**delta:
-            trimmed = _top_by_degree(
-                b, a, set(c), len(c), "left" if a_side == "left" else "right"
-            )
-            e_restr = pair_edges(trimmed, c)
-            size = len(c)
-            candidates.append(
-                (e_restr / (size * size) * size**delta, "dense-pair", trimmed, c)
-            )
-    if dd:
-        e_df = pair_edges(dd, b_class)
-        if e_df >= d * len(dd) ** (1 - delta) * n ** (1 + delta):
-            trimmed = _top_by_degree(
-                b, b_class, set(dd), len(dd), "right" if a_side == "left" else "left"
-            )
-            e_restr = pair_edges(dd, trimmed)
-            size = len(dd)
-            candidates.append(
-                (e_restr / (size * size) * size**delta, "complement-side", dd, trimmed)
-            )
+        cset = set(c)
+        scores = {u: sum(1 for v in a_adj[u] if v in cset) for u in a}
+        if sum(scores.values()) >= d * len(a) * len(c) ** (1 - delta) * n**delta:
+            potential, kept = _top_by_degree(scores, len(c), delta)
+            candidates.append((potential, "dense-pair", kept + c))
+    if dd and (
+        sum(len(a_adj[u]) for u in dd) >= d * len(dd) ** (1 - delta) * n ** (1 + delta)
+    ):
+        f_adj = b.right_adjacency if a_left else b.left_adjacency
+        dset = set(dd)
+        scores = {v: sum(1 for u in f_adj[v] if u in dset) for v in f_class}
+        potential, kept = _top_by_degree(scores, len(dd), delta)
+        candidates.append((potential, "complement-side", dd + kept))
     if not candidates:
         if k > d * n / 100.0:
             raise DensityIncrementStuck(
@@ -286,18 +275,13 @@ def density_increment_step(b: BipartiteGraph, cfg: PipelineConfig) -> IncrementS
         raise DichotomyBug(
             f"violation admitted no escape at k={k} <= d*n/100 = {d * n / 100:.3f}"
         )
-    # prefer the restriction with the larger potential d' * size^delta
-    candidates.sort(key=lambda t: (-t[0], t[1] != "dense-pair"))
-    _, escape, side_a, side_b = candidates[0]
-    if a_side == "left":
-        new_left, new_right = side_a, side_b
-    else:
-        new_left, new_right = side_b, side_a
-    restriction = b.restrict(new_left, new_right)
+    # the larger potential wins, dense-pair on ties (max keeps the first)
+    _, escape, kept = max(candidates, key=lambda t: t[0])
+    keep = set(kept)  # labels differ across classes, so one set names both sides
     return IncrementStep(
         kind="restriction",
         k=k,
-        restriction=restriction,
+        restriction=b.restrict(keep, keep),
         escape=escape,
         violation=(xs, ys),
     )
@@ -341,12 +325,9 @@ def large_regular_subgraph(
         step = density_increment_step(cur, cfg)
         if step.kind == "factor":
             factor = step.factor
-            for u in factor.left:
-                if len(factor.left_adjacency[u]) != step.k:
-                    raise DichotomyBug(f"factor degree mismatch at {u}")
-            for v in factor.right:
-                if len(factor.right_adjacency[v]) != step.k:
-                    raise DichotomyBug(f"factor degree mismatch at {v}")
+            for x in factor.left + factor.right:
+                if factor.degree(x) != step.k:
+                    raise DichotomyBug(f"factor degree mismatch at {x}")
             return step.k, factor, trace
         cur = step.restriction
         trace.append(TraceEntry(len(cur.left), cur.density, cfg.delta, step.escape))
@@ -386,13 +367,15 @@ def matching_decomposition(h: BipartiteGraph) -> list[list[tuple[int, int]]]:
     return matchings
 
 
+def _matching_colours(h: BipartiteGraph) -> dict[Edge, int]:
+    """Matching j gets colour j (1-based), keyed by canonical edge."""
+    peel = enumerate(matching_decomposition(h), start=1)
+    return {canonical_edge(u, v): j for j, matching in peel for u, v in matching}
+
+
 def colour_regular_bipartite(h: BipartiteGraph) -> EdgeColouring:
     """Colour matching j with colour j (1-based): every vertex sees {1..k}."""
-    colours: dict[Edge, int] = {}
-    for j, matching in enumerate(matching_decomposition(h), start=1):
-        for u, v in matching:
-            colours[canonical_edge(u, v)] = j
-    return EdgeColouring(h.to_graph(), colours)
+    return EdgeColouring(h.to_graph(), _matching_colours(h))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +424,6 @@ def forest_partition(g: Graph) -> list[Graph]:
 
 @dataclass
 class FactorPart:
-    index: int
     layer_bit: int
     k: int
     subgraph: BipartiteGraph
@@ -451,18 +433,15 @@ class FactorPart:
 
 @dataclass
 class ForestPart:
-    index: int
     layer_bit: int
-    forest: Graph
-    colouring: EdgeColouring
+    colouring: EdgeColouring  # its graph is the forest
 
 
 @dataclass
 class DecompositionReport:
     graph: Graph
     partition: EdgePartition
-    factors: list[FactorPart]
-    forest_parts: list[ForestPart]
+    parts: list[FactorPart | ForestPart]  # part i is parts[i]
     layers: list[BitLayer]
     config: PipelineConfig
     stuck_layers: list[int] = field(default_factory=list)
@@ -472,25 +451,20 @@ class DecompositionReport:
         return self.partition.part_count
 
     def part_colourings(self) -> list[EdgeColouring]:
-        """Colourings in part-index order (factors and forests interleave)."""
-        parts = sorted(self.factors + self.forest_parts, key=lambda p: p.index)
-        return [p.colouring for p in parts]
+        """Colourings in part-index order, each on the ambient graph's vertices."""
+        return [p.colouring for p in self.parts]
 
 
 def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> DecompositionReport:
     """Partition E(g) into interval-colourable parts via the layer pipeline."""
     cfg = cfg or PipelineConfig()
     layers = bit_split(g)
-    factors: list[FactorPart] = []
-    forest_parts: list[ForestPart] = []
-    part_of: dict[Edge, int] = {}
-    next_part = 0
+    parts: list[FactorPart | ForestPart] = []
     stuck: list[int] = []
 
     for layer in layers:
         half = len(layer.graph.left)
-        total = 2 * half
-        threshold = total ** (-cfg.gamma)
+        threshold = (2 * half) ** (-cfg.gamma)
         remaining = set(layer.graph.edges)
         while remaining and len(remaining) / (half * half) >= threshold:
             cur = BipartiteGraph._trusted(
@@ -504,38 +478,24 @@ def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> Decompositio
                 stuck.append(layer.bit)
                 break
             colouring = EdgeColouring(
-                Graph(
-                    g.vertex_count,
-                    tuple(canonical_edge(u, v) for u, v in factor.edges),
-                ),
-                {
-                    canonical_edge(u, v): col
-                    for (u, v), col in colour_regular_bipartite(factor).colours.items()
-                },
+                factor.to_graph(g.vertex_count), _matching_colours(factor)
             )
-            factors.append(FactorPart(next_part, layer.bit, k, factor, colouring, trace))
-            for u, v in factor.edges:
-                part_of[canonical_edge(u, v)] = next_part
-            next_part += 1
+            parts.append(FactorPart(layer.bit, k, factor, colouring, trace))
             remaining -= set(factor.edges)
         if remaining:
             rem_graph = Graph(
                 g.vertex_count, tuple(canonical_edge(u, v) for u, v in remaining)
             )
-            for forest in forest_partition(rem_graph):
-                forest_parts.append(
-                    ForestPart(next_part, layer.bit, forest, colour_forest(forest))
-                )
-                for e in forest.edges:
-                    part_of[e] = next_part
-                next_part += 1
+            parts.extend(
+                ForestPart(layer.bit, colour_forest(forest))
+                for forest in forest_partition(rem_graph)
+            )
 
-    partition = EdgePartition(g, part_of, next_part)
+    part_of = {e: i for i, part in enumerate(parts) for e in part.colouring.colours}
     return DecompositionReport(
         graph=g,
-        partition=partition,
-        factors=factors,
-        forest_parts=forest_parts,
+        partition=EdgePartition(g, part_of, len(parts)),
+        parts=parts,
         layers=layers,
         config=cfg,
         stuck_layers=stuck,

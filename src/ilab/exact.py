@@ -314,7 +314,11 @@ def exact_thickness(
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    meter = _Meter(budget or SearchBudget())
+    return _thickness(g, k_max, _Meter(budget or SearchBudget()))
+
+
+def _thickness(g: Graph, k_max: int, meter: _Meter) -> ThicknessResult | None:
+    """``exact_thickness`` on the caller's meter (``nodes`` is its running total)."""
     m = g.edge_count
     if m == 0:
         empty = EdgePartition(g, {}, 0)
@@ -373,16 +377,16 @@ def peel_sequence(
     ``(removed_vertex, theta_after_removal)``. Peeling stops once the next
     removal would leave an edgeless graph, so the last entry still has edges
     (for any input, that final graph is a star: every surviving edge meets
-    the next vertex in order).
+    the next vertex in order). The budget covers all the searches together.
     """
-    budget = budget or SearchBudget()
     m = g.edge_count
     if m == 0:
         return [(None, 0)]
     k_cap = max(2, int(math.isqrt(m)) + 2)
+    meter = _Meter(budget or SearchBudget())
 
     def theta_of(h: Graph) -> int:
-        res = exact_thickness(h, k_max=k_cap, budget=budget)
+        res = _thickness(h, k_cap, meter)
         if res is None:  # cannot happen below sqrt(m/2)+2, but stay honest
             raise SearchBudgetExceeded(f"thickness exceeds k_max={k_cap}")
         return res.theta

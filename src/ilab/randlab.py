@@ -39,7 +39,6 @@ from .colouring import spread_cap
 from .graphs import (
     BipartiteGraph,
     Edge,
-    EdgePartition,
     Graph,
     canonical_edge,
     diameter,
@@ -264,15 +263,9 @@ class DenseSubgraphReport:
         return len(set(self.far) | {self.x0})
 
 
-def _part_lookup(partition: EdgePartition | Mapping[Edge, int]) -> Mapping[Edge, int]:
-    if isinstance(partition, EdgePartition):
-        return partition.part_of
-    return partition
-
-
 def find_dense_monochromatic(
     b: BipartiteGraph,
-    partition: EdgePartition | Mapping[Edge, int],
+    part_of: Mapping[Edge, int],
     hyp: DensePartHypothesis | None = None,
 ) -> DenseSubgraphReport:
     """Second-neighbourhood subgraph of the busiest part.
@@ -285,7 +278,6 @@ def find_dense_monochromatic(
     left portion captures at least |C| / (2 r^2) vertices — the hypotheses
     are the caller's to check, this function only does the construction.
     """
-    part_of = _part_lookup(partition)
     if not b.edges:
         raise ValueError("graph has no edges")
     counts: dict[int, int] = {}
@@ -371,7 +363,7 @@ class SpreadWitness:
 
 def validate_spread_witness(
     lb: LayeredBipartite,
-    partition: EdgePartition | Mapping[Edge, int],
+    part_of: Mapping[Edge, int],
     w: SpreadWitness,
 ) -> tuple[bool, str]:
     """Recompute a witness from scratch and decide whether it certifies.
@@ -382,7 +374,6 @@ def validate_spread_witness(
     pivot's neighbours must each carry an internal part edge so the spread
     transfers.
     """
-    part_of = _part_lookup(partition)
     hset = set(w.h_vertices)
     if w.pivot in hset:
         return False, "pivot lies inside the piece"
@@ -490,7 +481,7 @@ def probe_budget(params: LowerBoundParams, prior_stage: int, scale: float = 1.0)
 
 def adversarial_probe(
     lb: LayeredBipartite,
-    partition: EdgePartition | Mapping[Edge, int],
+    part_of: Mapping[Edge, int],
     budget_scale: float = 1.0,
 ) -> ProbeTrace:
     """Walk the layers against an adversary's edge partition.
@@ -505,7 +496,8 @@ def adversarial_probe(
     proportion reported per stage is the worst fraction of any single A_k
     vertex's edges into the surviving ground that the deletion removed.
     """
-    part_of = _part_lookup(partition)
+    if not 0 < budget_scale < math.inf:
+        raise ValueError(f"budget_scale must be positive and finite, got {budget_scale}")
     params = lb.params
     trace = ProbeTrace(params=params, budget_scale=budget_scale)
     ground: set[int] = set(lb.ground)

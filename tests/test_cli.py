@@ -253,6 +253,16 @@ class TestProbe:
         code, _, err = run(capsys, "probe", path, str(p))
         assert code == 2 and "1 edges but 2 part labels" in err
 
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_budget_scale_must_be_positive(self, capsys, tmp_path, layered, scale):
+        path, lb = layered
+        parts = write_partition(tmp_path, lb, lambda e: 0)
+        report = tmp_path / "probe.json"
+        code, out, err = run(capsys, "probe", path, parts, "--budget-scale", scale,
+                             "--report", str(report))
+        assert code == 2 and out == "" and not report.exists()
+        assert err.startswith("error: budget_scale must be positive") and err.count("\n") == 1
+
 
 def _without(key):
     return lambda doc: {k: v for k, v in doc.items() if k != key}

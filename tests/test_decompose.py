@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from conftest import random_graph
 from ilab import Graph, verify
 from ilab.decompose import (
     DensityIncrementStuck,
+    FactorPart,
     PipelineConfig,
     bit_split,
     colour_regular_bipartite,
@@ -206,6 +209,44 @@ class TestIncrementStep:
             assert all(b >= a - 1e-12 for a, b in zip(pots, pots[1:])), trace
         assert longest >= 3, "expected a trace with several restrictions"
 
+    def test_restrictions_are_frozen(self):
+        # every choice of the step (k, escape, trimmed sides) is pinned over
+        # padded random layers; the sweep must meet both escapes with the
+        # violation's smaller side in either class
+        rng = random.Random(5)
+        records, cases = [], Counter()
+        for seed in range(200):
+            s = rng.randint(6, 40)
+            pad_l, pad_r = rng.randint(0, s // 3), rng.randint(0, s // 3)
+            p = rng.uniform(0.05, 0.6)
+            left, right = tuple(range(s)), tuple(range(s, 2 * s))
+            edges = tuple(
+                (u, v) for u in left[pad_l:] for v in right[pad_r:] if rng.random() < p
+            )
+            if not edges:
+                continue
+            b = BipartiteGraph(left, right, edges)
+            for delta in (0.25, 0.4):
+                try:
+                    step = density_increment_step(b, PipelineConfig(delta=delta))
+                except DensityIncrementStuck:
+                    records.append((seed, delta, "stuck"))
+                    continue
+                if step.kind == "factor":
+                    records.append((seed, delta, "factor", step.k))
+                    continue
+                xs, ys = step.violation
+                cases[step.escape, len(xs) <= len(ys)] += 1
+                records.append((
+                    seed, delta, step.kind, step.k, step.escape,
+                    step.restriction.left, step.restriction.right,
+                ))
+        assert len(cases) == 4, cases
+        digest = hashlib.sha256(repr(records).encode()).hexdigest()
+        assert digest == (
+            "4375b54b6280ba63bd13d4e3198f84aaee74399a6633f0b9fb6b900631df4423"
+        ), digest
+
 
 def test_decompose_theta_survives_increment_stuck(monkeypatch):
     # the stuck escape hatch routes the layer to forests and records it
@@ -216,7 +257,7 @@ def test_decompose_theta_survives_increment_stuck(monkeypatch):
     g = Graph(8, random_graph(8, 0.9, seed=2))
     rep = decompose_theta(g)
     assert rep.stuck_layers
-    assert not rep.factors
+    assert not [p for p in rep.parts if isinstance(p, FactorPart)]
     parts = rep.part_colourings()
     assert all(verify(c).interval for c in parts)
     covered = sorted(e for c in parts for e in c.colours)
@@ -310,8 +351,9 @@ class TestDecomposeTheta:
     def test_dense_layers_yield_regular_parts(self):
         g = Graph(64, random_graph(64, 0.9, seed=2))
         rep = decompose_theta(g)
-        assert rep.factors, "dense input should exercise the factor route"
-        for f in rep.factors:
+        factors = [p for p in rep.parts if isinstance(p, FactorPart)]
+        assert factors, "dense input should exercise the factor route"
+        for f in factors:
             assert all(
                 f.subgraph.degree(v) == f.k for v in f.subgraph.left + f.subgraph.right
             )

@@ -152,6 +152,12 @@ class TestPeel:
             thetas = [t for _, t in trace]
             assert all(b >= a - 1 for a, b in zip(thetas, thetas[1:])), (seed, trace)
 
+    def test_budget_covers_the_whole_peel(self):
+        # theta(K5) alone takes 1455 nodes, the four searches 1484 together
+        assert exact_thickness(K5, k_max=5, budget=SearchBudget(node_limit=1460))
+        with pytest.raises(SearchBudgetExceeded):
+            peel_sequence(K5, SearchBudget(node_limit=1460))
+
 
 def test_counting_property_when_no_interior_colour_is_unique():
     # whenever an exact witness has every interior colour on >= 2 edges,
