@@ -53,18 +53,22 @@ def main(argv=None):
 
     tallies = {}
     witnesses = 0
-    for seed in range(args.seeds):
-        params = LowerBoundParams(
-            r=args.r, n=args.n, delta=args.delta, epsilon=args.epsilon, seed=seed
-        )
-        lb = generate(params)
-        for name, part_of in partitions_for(lb, args.parts, seed):
-            trace = adversarial_probe(lb, part_of, budget_scale=args.budget_scale)
-            tallies.setdefault(name, Counter())[outcome(trace)] += 1
-            for w in trace.witnesses:
-                witnesses += 1
-                print(f"seed {seed} {name}: witness part {w.part} pivot {w.pivot} "
-                      f"({w.edge_count} edges, forced {w.forced_spread} > cap {w.cap})")
+    try:
+        for seed in range(args.seeds):
+            params = LowerBoundParams(
+                r=args.r, n=args.n, delta=args.delta, epsilon=args.epsilon, seed=seed
+            )
+            lb = generate(params)
+            for name, part_of in partitions_for(lb, args.parts, seed):
+                trace = adversarial_probe(lb, part_of, budget_scale=args.budget_scale)
+                tallies.setdefault(name, Counter())[outcome(trace)] += 1
+                for w in trace.witnesses:
+                    witnesses += 1
+                    print(f"seed {seed} {name}: witness part {w.part} pivot {w.pivot} "
+                          f"({w.edge_count} edges, forced {w.forced_spread} > cap {w.cap})")
+    except ValueError as exc:  # bad parameters, reported as the CLI does
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     print(f"\n{'strategy':<18} " + " ".join(
         f"{k:>18}" for k in ("refuted (repeat)", "refuted (witness)",

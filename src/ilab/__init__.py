@@ -13,7 +13,6 @@ from .colouring import (
     EdgeColouring,
     colour_forest,
     count_colours,
-    span_bounded,
     spread_cap,
     spread_check,
     verify,
@@ -123,7 +122,6 @@ __all__ = [
     "max_colours",
     "objective_check",
     "peel_sequence",
-    "span_bounded",
     "spread_cap",
     "spread_check",
     "unique_colour_split",

@@ -114,22 +114,6 @@ def count_colours(c: EdgeColouring) -> int:
     return len(set(c.colours.values()))
 
 
-def span_bounded(c: EdgeColouring, bound_factor: int) -> bool:
-    """True iff max(C_v) - min(C_v) <= bound_factor * deg(v) at every vertex.
-
-    ``bound_factor < 1`` is rejected; with a proper colouring the factor-1
-    case is implied by (and weaker than) interval-ness.
-    """
-    if bound_factor < 1:
-        raise ValueError("bound_factor must be >= 1")
-    g = c.graph
-    for v in range(g.vertex_count):
-        cols = c.vertex_colours(v)
-        if cols and cols[-1] - cols[0] > bound_factor * len(cols):
-            return False
-    return True
-
-
 def spread_cap(diam: int, delta_cap: int) -> int:
     """Max colour difference between edges of a diameter-``diam`` subgraph."""
     return (diam + 1) * (delta_cap - 1)

@@ -20,8 +20,15 @@ All three searches colour a graph through one routine, ``_colour_components``,
 which runs that pinned search per component on a shared node/time meter.
 Only ``find_interval_colouring`` may narrow the window (its ``max_colours``
 cap); exhausting a narrowed window raises SearchBudgetExceeded, never None.
-The function ``max_colours`` widens each component's palette from its first
-colouring's up to the window.
+
+The function ``max_colours`` tries each component's palettes t downward from
+``min(W, cap)`` and stops at the first t that has a colouring using all of
+``0..t-1``. ``cap`` is ``planar.certified_colour_cap``, floor((3n - 4) / 2)
+for a component on n <= 20 vertices that is hereditarily 3-sparse (planar
+ones included), and W otherwise. No t above the cap can succeed, so the
+first success is the maximum. Palettes are tried one by one, not bisected:
+a palette can fail between two that succeed (t = 12 on the s = 5 extremal
+planar graph, between 11 and 13).
 
 Thickness enumerates edge-to-part assignments in restricted-growth order
 (edge 0 in part 0; a new part index may appear only after all smaller ones),
@@ -38,6 +45,7 @@ from dataclasses import dataclass
 
 from .colouring import EdgeColouring
 from .graphs import Edge, EdgePartition, Graph, induced_subgraph
+from .planar import certified_colour_cap
 
 
 class SearchBudgetExceeded(Exception):
@@ -256,9 +264,11 @@ def max_colours(
     """Maximum number of distinct colours over interval colourings of ``g``.
 
     Returns ``(t, witness)`` or None if ``g`` is not interval colourable.
-    Each component's palette is raised from its first colouring's up to its
-    sound window; components are maximised independently and translated
-    apart, so the returned witness attains the sum.
+    Each component's palette is lowered from the smaller of its sound window
+    and its certified cap until one above its first colouring's succeeds;
+    with no such palette the first colouring stands. Components are
+    maximised independently and translated apart, so the returned witness
+    attains the sum.
     """
     meter = _Meter(budget or SearchBudget())
     found = _colour_components(g, meter)
@@ -268,7 +278,14 @@ def max_colours(
     offset = 0
     for edges, deg, window, best in found:
         best_t = len(set(best.values()))
-        for t_try in range(best_t + 1, window + 1):
+        cap = certified_colour_cap(induced_subgraph(g, list(deg))[0])
+        top = window if cap is None else min(window, cap)
+        if best_t > top:
+            raise RuntimeError(
+                f"internal error: a colouring with {best_t} colours exceeds "
+                f"the certified cap {cap}"
+            )
+        for t_try in range(top, best_t, -1):
             sol = _search_component(
                 edges,
                 deg,
@@ -280,6 +297,7 @@ def max_colours(
             )
             if sol is not None:
                 best_t, best = t_try, sol
+                break
         shift = offset - min(best.values())
         combined.update({e: c + shift for e, c in best.items()})
         offset += best_t

@@ -22,6 +22,30 @@ sides with no edges across, and splitting the colouring there produces two
 interval-coloured halves whose colour counts sum to (distinct colours) + 1.
 Combined with `hereditary_sparsity` (e(S) <= k(|S|-2) for all |S| >= 3),
 this drives the bound t <= (k/2) n + 1 - k checked by `verify_colour_bound`.
+
+Theorem (the cap `certified_colour_cap` returns). Let g have n >= 2 vertices,
+at least one edge, and e(S) <= 3(|S| - 2) for every S with |S| >= 3
+("hereditarily 3-sparse"). Then every interval colouring of g uses at most
+(3n - 4) / 2 distinct colours. Planar graphs are included: by Euler's
+formula a planar graph on k >= 3 vertices has at most 3k - 6 edges, and
+every induced subgraph of a planar graph is planar, which is the paper's
+3n/2 - 2 bound. Proof, by induction on n. For n = 2 the one edge gives one
+colour. A disconnected g satisfies the bound if each component with edges
+does, since sum((3 n_i - 4) / 2) <= (3n - 4) / 2. For connected g on n >= 3
+vertices coloured with t colours, which are then contiguous, say 0..t-1:
+
+  * If some interior colour c0 (0 < c0 < t-1) lies on exactly one edge vw,
+    every other vertex has its colours all below or all above c0. The
+    edges below c0 plus vw and the edges above c0 plus vw form two
+    hereditarily 3-sparse subgraphs on n1 and n2 vertices with
+    n1 + n2 = n + 2, each missing a vertex of g (colours 0 and t-1 are
+    used, and vw alone cannot carry them), coloured with c0 + 1 and t - c0
+    colours. Induction gives t + 1 <= (3(n + 2) - 8) / 2.
+  * Otherwise every interior colour lies on two or more edges, so
+    m >= 2(t - 2) + 2 = 2t - 2, while m <= 3(n - 2); hence t <= (3n - 4)/2.
+
+Both cases give t <= (3n - 4) / 2; the same argument with k in place of 3
+gives the (k/2) n + 1 - k bound for k >= 1.
 """
 
 from __future__ import annotations
@@ -196,6 +220,19 @@ def hereditary_sparsity(g: Graph, k: int) -> tuple[bool, tuple[int, ...] | None]
         if size >= 3 and inner[mask] > k * (size - 2):
             return False, tuple(i for i in range(n) if (mask >> i) & 1)
     return True, None
+
+
+def certified_colour_cap(g: Graph) -> int | None:
+    """The module theorem's cap floor((3n - 4) / 2) on the colours of g, or None.
+
+    None when the theorem is not checked for g: no edges, more than 20
+    vertices (the exhaustive sparsity check's limit), or some vertex subset
+    violating hereditary 3-sparsity.
+    """
+    n = g.vertex_count
+    if not g.edges or n > 20 or not hereditary_sparsity(g, 3)[0]:
+        return None
+    return (3 * n - 4) // 2
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ilab import EdgeColouring, Graph, colour_forest, count_colours, spread_cap, spread_check, verify
-from ilab.colouring import span_bounded
 from ilab.formats import (
     FormatError,
     parse_colouring_json,
@@ -67,14 +66,6 @@ def test_translation_preserves_everything(offset):
 def test_count_colours_distinct_not_span():
     c = colouring(5, [((0, 1), 0), ((2, 3), 7), ((3, 4), 8)])
     assert count_colours(c) == 3
-
-
-def test_span_bounded_uses_degree_window():
-    star = colouring(4, [((0, 1), 0), ((0, 2), 1), ((0, 3), 2)])
-    assert span_bounded(star, 1)
-    stretched = colouring(4, [((0, 1), 0), ((0, 2), 1), ((0, 3), 5)])
-    assert not span_bounded(stretched, 1)
-    assert span_bounded(stretched, 2)
 
 
 class TestSpread:

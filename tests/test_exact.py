@@ -6,8 +6,11 @@ colourings) is feasible up to 6 edges and cross-checks oracle A on that
 range.  K5 and K5 minus an edge are also refuted analytically: reducing an
 interval colouring's colours mod max-degree gives a proper edge colouring
 with Delta colours, but both graphs have chromatic index 5 > Delta = 4.
+``upward_max_colours`` is the palette walk ``max_colours`` made before it
+had a certified cap, kept as a reference for its answers and witnesses.
 """
 
+import itertools
 import random
 from collections import Counter
 
@@ -15,17 +18,21 @@ import pytest
 
 from conftest import connected_classes, oracle_interval, oracle_interval_naive, random_graph
 from ilab import (
+    FamilySpec,
     Graph,
     SearchBudget,
     SearchBudgetExceeded,
     count_colours,
     exact_thickness,
+    extremal_family,
     find_interval_colouring,
+    hereditary_sparsity,
     max_colours,
     peel_sequence,
     verify,
 )
 from ilab import exact
+from ilab.planar import certified_colour_cap
 
 TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
 K4 = Graph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
@@ -175,3 +182,95 @@ def test_counting_property_when_no_interior_colour_is_unique():
             lo, hi = min(counts), max(counts)
             if all(counts[c] >= 2 for c in counts if lo < c < hi):
                 assert g.edge_count >= 2 * t - 2, (n, edges)
+
+
+# ---------------------------------------------------------------------------
+# max_colours: the certified cap and the downward palette walk
+# ---------------------------------------------------------------------------
+
+def upward_max_colours(g):
+    """Every palette from the first colouring's up to the sound window; the
+    largest success wins. Returns ``(t, colours)`` or None."""
+    meter = exact._Meter(SearchBudget())
+    found = exact._colour_components(g, meter)
+    if found is None:
+        return None
+    combined = {}
+    offset = 0
+    for edges, deg, window, best in found:
+        best_t = len(set(best.values()))
+        for t_try in range(best_t + 1, window + 1):
+            sol = exact._search_component(
+                edges, deg, lo=0, hi=t_try - 1, meter=meter,
+                first_cap=(t_try - 1) // 2, need=(0, t_try - 1),
+            )
+            if sol is not None:
+                best_t, best = t_try, sol
+        shift = offset - min(best.values())
+        combined.update({e: c + shift for e, c in best.items()})
+        offset += best_t
+    return offset, combined
+
+
+def palette_feasible(g, t):
+    """The call ``max_colours`` makes for palette t on a connected graph."""
+    edges = exact._connected_edge_order(list(g.edges))
+    deg = {v: g.degree(v) for v in range(g.vertex_count)}
+    meter = exact._Meter(SearchBudget(node_limit=None))
+    sol = exact._search_component(
+        edges, deg, lo=0, hi=t - 1, meter=meter, first_cap=(t - 1) // 2, need=(0, t - 1)
+    )
+    return sol is not None
+
+
+def assert_matches_upward(g):
+    want = upward_max_colours(g)
+    got = max_colours(g)
+    if want is None:
+        assert got is None, g.edges
+        return
+    assert got[0] == want[0] and got[1].colours == want[1], g.edges
+    if g.edges and hereditary_sparsity(g, 3)[0]:
+        assert certified_colour_cap(g) == (3 * g.vertex_count - 4) // 2 >= want[0]
+
+
+def test_s5_palette_gap_forbids_bisection():
+    # 12 fails between two palettes that succeed: refuting it takes 1.39M nodes
+    g, _ = extremal_family(FamilySpec(5))
+    assert [palette_feasible(g, t) for t in (11, 12, 13)] == [True, False, True]
+
+
+@pytest.mark.parametrize("s", range(2, 7))
+@pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+def test_family_reaches_the_cap_within_budget(s, odd):
+    spec = FamilySpec(s, odd=odd)
+    g, _ = extremal_family(spec)
+    t, witness = max_colours(g, SearchBudget(node_limit=100_000))
+    assert t == 3 * s - 2 + odd == spec.colour_count == certified_colour_cap(g)
+    assert verify(witness).interval and count_colours(witness) == t
+
+
+def test_downward_walk_matches_upward_on_random_graphs():
+    rng = random.Random(6)
+    for _ in range(320):
+        n = rng.randint(2, 8)
+        g = Graph(n, random_graph(n, rng.choice((0.2, 0.3, 0.4)), seed=rng.randrange(10**6)))
+        assert_matches_upward(g)
+
+
+@pytest.mark.parametrize("capped", [True, False], ids=["cap", "window"])
+def test_downward_walk_matches_upward_on_family_members(monkeypatch, capped):
+    if not capped:  # walk down from the sound window instead
+        monkeypatch.setattr(exact, "certified_colour_cap", lambda g: None)
+    for s in (2, 3):
+        for odd in (False, True):
+            for r in range(s - 1):
+                for removed in itertools.combinations(range(1, s - 1), r):
+                    g, _ = extremal_family(FamilySpec(s, frozenset(removed), odd))
+                    assert_matches_upward(g)
+
+
+def test_colouring_above_the_cap_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(exact, "certified_colour_cap", lambda g: 1)
+    with pytest.raises(RuntimeError, match="certified cap"):
+        max_colours(C4)

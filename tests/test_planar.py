@@ -17,6 +17,7 @@ from ilab import (
 )
 from ilab.colouring import EdgeColouring, count_colours
 from ilab.graphs import Graph, induced_subgraph
+from ilab.planar import certified_colour_cap
 
 TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
 K5 = Graph(5, tuple(itertools.combinations(range(5), 2)))
@@ -208,6 +209,35 @@ class TestSparsity:
             hereditary_sparsity(Graph(21, ()), 3)
         with pytest.raises(ValueError, match="non-negative"):
             hereditary_sparsity(TRIANGLE, -1)
+
+
+class TestPlanarity:
+    """The family's planarity, checked by networkx's planarity test."""
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+    @pytest.mark.parametrize("curved", [True, False], ids=["curved", "no-curved"])
+    def test_family_is_planar_up_to_s30(self, odd, curved):
+        networkx = pytest.importorskip("networkx")
+        for s in range(2, 31):
+            removed = frozenset() if curved else frozenset(range(1, s - 1))
+            g, _ = extremal_family(FamilySpec(s, removed, odd))
+            planar, _ = networkx.check_planarity(networkx.Graph(g.edges))
+            assert planar, (s, odd, curved)
+            if g.vertex_count <= 20:
+                assert hereditary_sparsity(g, 3)[0], (s, odd, curved)
+
+
+class TestCertifiedCap:
+    def test_cap_is_the_k3_bound(self):
+        g = Graph(4, tuple(itertools.combinations(range(4), 2)))
+        assert certified_colour_cap(g) == 4 == verify_colour_bound(g, 3, 0).bound
+        assert certified_colour_cap(Graph(2, ((0, 1),))) == 1
+        assert certified_colour_cap(Graph(5, ((0, 1), (1, 2)))) == 5
+
+    def test_no_cap_where_the_theorem_is_unchecked(self):
+        assert certified_colour_cap(K5) is None  # not 3-sparse
+        assert certified_colour_cap(Graph(3, ())) is None  # no edges
+        assert certified_colour_cap(Graph(21, ((0, 1),))) is None  # beyond the check
 
 
 class TestColourBound:

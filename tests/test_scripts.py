@@ -48,3 +48,11 @@ def test_script_runs_and_prints_its_table(capsys, name, argv, headers):
     lines = capsys.readouterr().out.splitlines()
     for words in headers:
         assert any(all(w in line for w in words) for line in lines), (name, words)
+
+
+@pytest.mark.parametrize("scale", ["0", "nan", "inf"])
+def test_probe_script_rejects_bad_budget_scale(capsys, scale):
+    argv = ["--r", "2", "--n", "60", "--seeds", "1", "--budget-scale", scale]
+    assert load("probe_lower_bound").main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: budget_scale")
