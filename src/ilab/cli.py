@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from .colouring import EdgeColouring, count_colours, verify
 from .decompose import FactorPart, PipelineConfig, decompose_theta, objective_check
@@ -299,27 +300,8 @@ def _cmd_probe(args, files: _Files) -> int:
                 }
                 for st in trace.stages
             ],
-            "witnesses": [
-                {
-                    "part": w.part,
-                    "pivot": w.pivot,
-                    "edge_count": w.edge_count,
-                    "diameter": w.diameter,
-                    "delta_cap": w.delta_cap,
-                    "h_vertices": list(w.h_vertices),
-                }
-                for w in trace.witnesses
-            ],
-            "overruns": [
-                {
-                    "stage": o.stage,
-                    "prior_stage": o.prior_stage,
-                    "pivot": o.pivot,
-                    "edge_count": o.edge_count,
-                    "budget": o.budget,
-                }
-                for o in trace.overruns
-            ],
+            "witnesses": [asdict(w) for w in trace.witnesses],
+            "overruns": [asdict(o) for o in trace.overruns],
         }
         files.write(args.report, json.dumps(doc, sort_keys=True, indent=1) + "\n")
     if trace.witnesses:

@@ -51,14 +51,12 @@ class EdgeColouring:
     def vertex_colours(self, v: int) -> list[int]:
         return sorted(self.colours[canonical_edge(v, w)] for w in self.graph.adjacency[v])
 
-    def translated(self, offset: int) -> "EdgeColouring":
-        return EdgeColouring(self.graph, {e: c + offset for e, c in self.colours.items()})
-
     def normalised(self) -> "EdgeColouring":
         """Shift so the minimum colour is 0 (identity on empty graphs)."""
         if not self.colours:
             return self
-        return self.translated(-min(self.colours.values()))
+        low = min(self.colours.values())
+        return EdgeColouring(self.graph, {e: c - low for e, c in self.colours.items()})
 
 
 @dataclass

@@ -19,8 +19,9 @@ k = max(1, floor(d*n/100)), or the subset criterion
 fails; the violating pair is read off the min cut of the flow network
 (source -> left with capacity k, edges with capacity 1, right -> sink with
 capacity k). When k = 1 no network is built: the factor is a perfect
-matching (Hopcroft–Karp), and failing that the same pair comes from König's
-alternating search out of the unmatched left vertices. From a violation
+matching (Hopcroft–Karp), and failing that the same pair comes from the last
+Hopcroft–Karp search, which reaches the min cut's left side by alternating
+paths out of the unmatched left vertices. From a violation
 (A, B) with |A| <= |B| (A may lie in either class; the step orients the
 pair once), writing C and D for the complements of B and A in their
 classes, at least one of two escapes holds
@@ -46,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from .colouring import EdgeColouring, colour_forest
-from .flows import Dinic, alternating_reach, hopcroft_karp
+from .flows import Dinic, hopcroft_karp
 from .graphs import BipartiteGraph, Edge, EdgePartition, Graph, canonical_edge
 
 
@@ -147,11 +148,11 @@ def find_k_factor(b: BipartiteGraph, k: int) -> KFactorWitness:
     violating subset pair (X, Y).
 
     For k = 1 a factor is a perfect matching: Hopcroft–Karp finds one, and
-    otherwise König's alternating search from the free left vertices gives
-    X = left vertices reached, Y = right vertices not reached. For k >= 2 the
-    pair is read off the source side of a Dinic min cut. Both give the same
-    pair, the residual-reachable side of every maximum flow, so only the
-    choice of factor depends on the route.
+    otherwise the last Hopcroft–Karp search gives X = the left vertices it
+    reached from the free ones, Y = the right vertices outside their
+    neighbourhood. For k >= 2 the pair is read off the source side of a Dinic
+    min cut. Both give the same pair, the residual-reachable side of every
+    maximum flow, so only the choice of factor depends on the route.
     """
     n = len(b.left)
     if n != len(b.right):
@@ -166,14 +167,14 @@ def find_k_factor(b: BipartiteGraph, k: int) -> KFactorWitness:
         adjacency: list[list[int]] = [[] for _ in range(n)]
         for u, v in b.edges:
             adjacency[lpos[u]].append(rpos[v])
-        match = hopcroft_karp(n, n, adjacency)
+        match, reached = hopcroft_karp(n, n, adjacency)
         if len(match) == n:
             chosen = tuple(sorted((b.left[i], b.right[j]) for i, j in match.items()))
             factor = BipartiteGraph._trusted(b.left, b.right, chosen)
             return KFactorWitness(1, factor, None)
-        reach_l, reach_r = alternating_reach(adjacency, match)
-        xs = tuple(u for u in b.left if lpos[u] in reach_l)
-        ys = tuple(v for v in b.right if rpos[v] not in reach_r)
+        reached_r = {j for i in reached for j in adjacency[i]}
+        xs = tuple(u for u in b.left if lpos[u] in reached)
+        ys = tuple(v for v in b.right if rpos[v] not in reached_r)
     else:
         source, sink = 2 * n, 2 * n + 1
         net = Dinic(2 * n + 2)
@@ -188,7 +189,7 @@ def find_k_factor(b: BipartiteGraph, k: int) -> KFactorWitness:
             chosen = tuple(e for e, idx in mid.items() if net.flow_on(idx) == 1)
             factor = BipartiteGraph._trusted(b.left, b.right, chosen)
             return KFactorWitness(k, factor, None)
-        side = net.min_cut_source_side(source)
+        side = net.min_cut_source_side()
         xs = tuple(u for u in b.left if lpos[u] in side)
         ys = tuple(v for v in b.right if (n + rpos[v]) not in side)
     witness = KFactorWitness(k, None, (xs, ys))
@@ -357,7 +358,7 @@ def matching_decomposition(h: BipartiteGraph) -> list[list[tuple[int, int]]]:
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in sorted(remaining):
             adj[lpos[u]].append(rpos[v])
-        match = hopcroft_karp(n, n, adj)
+        match, _ = hopcroft_karp(n, n, adj)
         if len(match) != n:
             # cannot happen for a regular graph (Hall), so this is a bug trap
             raise DichotomyBug("regular graph yielded a non-perfect matching")
@@ -463,15 +464,12 @@ def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> Decompositio
     stuck: list[int] = []
 
     for layer in layers:
-        half = len(layer.graph.left)
-        threshold = (2 * half) ** (-cfg.gamma)
-        remaining = set(layer.graph.edges)
-        while remaining and len(remaining) / (half * half) >= threshold:
-            cur = BipartiteGraph._trusted(
-                layer.graph.left,
-                layer.graph.right,
-                tuple(e for e in layer.graph.edges if e in remaining),
-            )
+        left, right = layer.graph.left, layer.graph.right
+        threshold = (2 * len(left)) ** (-cfg.gamma)
+        # the working graph is a fresh object, so its adjacency caches do not
+        # outlive the layer loop on the report's layers
+        cur = BipartiteGraph._trusted(left, right, layer.graph.edges)
+        while cur.edges and cur.density >= threshold:
             try:
                 k, factor, trace = large_regular_subgraph(cur, cfg)
             except DensityIncrementStuck:
@@ -481,10 +479,13 @@ def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> Decompositio
                 factor.to_graph(g.vertex_count), _matching_colours(factor)
             )
             parts.append(FactorPart(layer.bit, k, factor, colouring, trace))
-            remaining -= set(factor.edges)
-        if remaining:
+            used = set(factor.edges)
+            cur = BipartiteGraph._trusted(
+                left, right, tuple(e for e in cur.edges if e not in used)
+            )
+        if cur.edges:
             rem_graph = Graph(
-                g.vertex_count, tuple(canonical_edge(u, v) for u, v in remaining)
+                g.vertex_count, tuple(canonical_edge(u, v) for u, v in cur.edges)
             )
             parts.extend(
                 ForestPart(layer.bit, colour_forest(forest))

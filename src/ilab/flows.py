@@ -1,6 +1,10 @@
 """Small flow/matching cores used by the decomposition pipeline.
 
-Both are index-based: callers translate vertex labels to 0..n-1 first.
+Both are index-based: callers translate vertex labels to 0..n-1 first. Each
+hands out the min cut that its own last search found, so no caller searches
+the residual graph again: ``Dinic.min_cut_source_side`` reads the levels of
+the final, failing BFS of ``max_flow``, and ``hopcroft_karp`` returns the
+left vertices that its final, failing BFS reached.
 """
 
 from __future__ import annotations
@@ -85,18 +89,13 @@ class Dinic:
                 flow += pushed
         return flow
 
-    def min_cut_source_side(self, s: int) -> set[int]:
-        """Vertices reachable from s in the residual graph (call after max_flow)."""
-        seen = {s}
-        q = deque([s])
-        while q:
-            x = q.popleft()
-            for idx in self.adj[x]:
-                y = self.to[idx]
-                if self.cap[idx] > 0 and y not in seen:
-                    seen.add(y)
-                    q.append(y)
-        return seen
+    def min_cut_source_side(self) -> set[int]:
+        """Vertices reachable from the source in the residual graph.
+
+        Call after max_flow: its last BFS failed to reach the sink, and the
+        vertices it levelled are exactly the source side of a minimum cut.
+        """
+        return {x for x, lv in enumerate(self.level) if lv >= 0}
 
     def flow_on(self, idx: int) -> int:
         """Flow currently carried by edge idx (its reverse edge's capacity)."""
@@ -105,10 +104,16 @@ class Dinic:
 
 def hopcroft_karp(
     n_left: int, n_right: int, adjacency: list[list[int]]
-) -> dict[int, int]:
+) -> tuple[dict[int, int], set[int]]:
     """Maximum matching of a bipartite graph given left-side adjacency.
 
-    Returns a dict mapping matched left indices to right indices.
+    Returns ``(match, reached)``: a dict mapping matched left indices to right
+    indices, and the left indices that the final, failing BFS reached by
+    alternating paths from the free left vertices. König: the unreached left
+    vertices and the neighbours of the reached ones form a minimum vertex
+    cover, and the reached vertices with their neighbours are the
+    residual-reachable side of every minimum cut of the unit-capacity
+    matching network.
     """
     INF = float("inf")
     match_l = [-1] * n_left
@@ -176,30 +181,5 @@ def hopcroft_karp(
         for u in range(n_left):
             if match_l[u] < 0:
                 dfs(u)
-    return {u: v for u, v in enumerate(match_l) if v >= 0}
-
-
-def alternating_reach(
-    adjacency: list[list[int]], match: dict[int, int]
-) -> tuple[set[int], set[int]]:
-    """Left and right indices reachable by alternating paths from free left vertices.
-
-    ``match`` must be a maximum matching (as from :func:`hopcroft_karp`).
-    König: the unreached left and the reached right vertices form a minimum
-    vertex cover, and the reached sets are exactly the residual-reachable
-    side of every minimum cut of the unit-capacity matching network.
-    """
-    match_r = {v: u for u, v in match.items()}
-    queue = [u for u in range(len(adjacency)) if u not in match]
-    left, right = set(queue), set()
-    for u in queue:  # grows while iterated: breadth-first order
-        for v in adjacency[u]:
-            if v not in right:
-                right.add(v)
-                w = match_r.get(v)
-                if w is None:
-                    raise ValueError("matching is not maximum: augmenting path found")
-                if w not in left:
-                    left.add(w)
-                    queue.append(w)
-    return left, right
+    match = {u: v for u, v in enumerate(match_l) if v >= 0}
+    return match, {u for u in range(n_left) if dist[u] != INF}

@@ -221,11 +221,16 @@ class BipartiteGraph:
         return len(self.right_adjacency[label])
 
     def restrict(self, left: Iterable[int], right: Iterable[int]) -> "BipartiteGraph":
-        """Sub-pair induced on the given label subsets (order preserved from self)."""
+        """Sub-pair induced on the given label subsets (order preserved from self).
+
+        The kept edges come from the kept labels' adjacency, walked in sorted
+        label order, so they are the sorted subsequence of ``self.edges``.
+        """
         lset, rset = set(left), set(right)
         keep_l = tuple(u for u in self.left if u in lset)
         keep_r = tuple(v for v in self.right if v in rset)
-        keep_e = tuple((u, v) for u, v in self.edges if u in lset and v in rset)
+        adj = self.left_adjacency
+        keep_e = tuple((u, v) for u in sorted(keep_l) for v in adj[u] if v in rset)
         return BipartiteGraph._trusted(keep_l, keep_r, keep_e)
 
     def to_graph(self, vertex_count: int | None = None) -> Graph:

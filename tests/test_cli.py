@@ -12,6 +12,8 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import ilab.decompose as dec
+from conftest import random_graph
 from ilab.cli import main
 from ilab.colouring import verify
 from ilab.formats import (
@@ -154,6 +156,41 @@ class TestDecompose:
         doc = json.loads((tmp_path / "r1.json").read_text())
         assert doc["m"] == len(edges) and len(doc["parts"]) == doc["part_count"]
         assert [p["index"] for p in doc["parts"]] == list(range(doc["part_count"]))
+
+    @pytest.mark.parametrize("n,p,seed,digest", [
+        (200, 0.7, 0, "2c2d3433ed82c72040dd758eac7d166c96635bbb3538378d3ad3314f69dfa8df"),
+        (100, 0.8, 1, "358be85e9e625a0fa4b014e8cf8b791652656e1c8273dbb289c706bc22bbbedb"),
+        (150, 0.9, 2, "f6e7ca9d51e13b29abef018ac701f7eca72afa075bc8229e4551c256f8e50181"),
+        (60, 0.9, 4, "ef797205dd32b2fcd0a4ac4baa9cc6e1b373a1e4e4ab775cabcd133e5bed2cba"),
+    ])
+    def test_report_bytes_are_frozen(self, capsys, monkeypatch, tmp_path, n, p, seed, digest):
+        # padded G(n, p): some layers are dense enough for factors, k = 1
+        # calls fail on the padding and the increment restricts; the report
+        # and stdout bytes are pinned by SHA-256
+        seen = {"failed": 0, "restrictions": 0}
+        find, step = dec.find_k_factor, dec.density_increment_step
+
+        def counting_find(b, k):
+            w = find(b, k)
+            seen["failed"] += k == 1 and not w.is_factor
+            return w
+
+        def counting_step(b, cfg):
+            s = step(b, cfg)
+            seen["restrictions"] += s.kind == "restriction"
+            return s
+
+        monkeypatch.setattr(dec, "find_k_factor", counting_find)
+        monkeypatch.setattr(dec, "density_increment_step", counting_step)
+        edges = random_graph(n, p, seed)
+        g = tmp_path / "g.txt"
+        g.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        report = tmp_path / "r.json"
+        code, out, err = run(capsys, "decompose", g, "--report", report)
+        assert code == 0 and err == ""
+        assert seen["failed"] > 0 and seen["restrictions"] > 0, seen
+        got = hashlib.sha256(report.read_bytes() + out.encode()).hexdigest()
+        assert got == digest
 
 
 class TestGenLower:

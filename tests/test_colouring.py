@@ -56,7 +56,7 @@ def test_empty_graph_is_interval():
 @given(st.integers(-40, 40))
 def test_translation_preserves_everything(offset):
     c = colouring(4, [((0, 1), 3), ((1, 2), 4), ((2, 3), 3)])
-    t = c.translated(offset)
+    t = EdgeColouring(c.graph, {e: col + offset for e, col in c.colours.items()})
     r0, r1 = verify(c), verify(t)
     assert (r0.proper, r0.interval, r0.distinct_colours) == (r1.proper, r1.interval, r1.distinct_colours)
     assert r1.min_colour == r0.min_colour + offset

@@ -117,7 +117,7 @@ class TestKFactor:
                 assert set(w.factor.edges) <= set(edges)
                 continue
             failing += 1
-            side = net.min_cut_source_side(2 * n)
+            side = net.min_cut_source_side()
             want = (
                 tuple(u for u in left if u in side),
                 tuple(v for v in right if v not in side),

@@ -1,0 +1,61 @@
+"""The benchmark's tracer must still find every library attribute it wraps.
+
+``perfbench/spans.py`` monkeypatches the attributes named in ``TARGETS`` to
+time each layer (``perfbench/run.py --trace 1``). A refactor that renames or
+moves one of them would break the trace, so each target is resolved here,
+the way ``Tracer.installed`` resolves it. ``perfbench/`` is only read.
+"""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+from ilab.cli import main
+
+SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = load_spans()
+
+
+def wrapped_attributes():
+    return [vars(owner)[attr] for owner, attr in
+            (spans.resolve(module, path) for module, path, _, _ in spans.TARGETS)]
+
+
+@pytest.mark.parametrize(
+    "module,path", [(module, path) for module, path, _, _ in spans.TARGETS],
+    ids=[f"{module}:{path}" for module, path, _, _ in spans.TARGETS],
+)
+def test_target_resolves(module, path):
+    owner, attr = spans.resolve(module, path)
+    assert attr in vars(owner), f"{module}.{path} is not an attribute of its owner"
+    assert callable(vars(owner)[attr])
+
+
+def test_traced_decompose_records_the_flow_layers(tmp_path, capsys):
+    # 60 vertices with 9 in 10 pairs joined reach find_k_factor and
+    # Hopcroft-Karp, and k = 1 calls fail on the padded layers, so the hooks
+    # read failing witnesses
+    edges = [(u, v) for u in range(60) for v in range(u + 1, 60) if (u * 7 + v * 3) % 10]
+    g = tmp_path / "g.txt"
+    g.write_text(f"60 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    originals = wrapped_attributes()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        assert main(["decompose", str(g)]) == 0
+    capsys.readouterr()
+    assert wrapped_attributes() == originals
+    metrics = spans.layer_metrics(tracer, passes=1)
+    assert metrics["decompose.find_k_factor.calls"] > 0
+    assert metrics["flows.hopcroft_karp.calls"] > 0
+    assert metrics["decompose.find_k_factor.failed"] > 0
+    assert metrics["graphs.restrict.calls"] > 0
