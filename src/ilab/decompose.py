@@ -115,7 +115,8 @@ def bit_split(g: Graph) -> list[BitLayer]:
     for bit in sorted(by_bit):
         left = tuple(v for v in range(full) if not (v >> bit) & 1)
         right = tuple(v for v in range(full) if (v >> bit) & 1)
-        layers.append(BitLayer(bit, BipartiteGraph(left, right, tuple(by_bit[bit]))))
+        edges = tuple(sorted(by_bit[bit]))
+        layers.append(BitLayer(bit, BipartiteGraph._trusted(left, right, edges)))
     return layers
 
 

@@ -18,6 +18,8 @@ window ``[-(W-1), W-1]`` with ``W = min(2 * n_comp, m_comp)`` is exhaustive.
 
 All three searches colour a graph through one routine, ``_colour_components``,
 which runs that pinned search per component on a shared node/time meter.
+Both depth-first searches (colours per edge, and parts per edge for
+thickness) are explicit-stack loops, so no edge count hits a recursion limit.
 Only ``find_interval_colouring`` may narrow the window (its ``max_colours``
 cap); exhausting a narrowed window raises SearchBudgetExceeded, never None.
 
@@ -175,36 +177,47 @@ def _search_component(
         if cnt is not None and col in cnt:
             cnt[col] -= 1
 
-    def dfs(i: int) -> bool:
+    # frame i: the colours left to try on edges[i], and the trail of the one
+    # it holds while later edges are searched
+    colours: list = [None] * m
+    trails: list = [None] * m
+    i, fresh = 0, True
+    while i >= 0:
         if i == m:
-            return cnt is None or (cnt[need_a] > 0 and cnt[need_b] > 0)
+            if cnt is None or (cnt[need_a] > 0 and cnt[need_b] > 0):
+                return dict(sol)
+            i, fresh = i - 1, False
+            continue
         e = edges[i]
         u, v = e
-        lu, hu = window(u)
-        lv, hv = window(v)
-        lo_i, hi_i = max(lu, lv), min(hu, hv)
-        if i == 0:
-            if pin_first is not None:
-                lo_i, hi_i = max(lo_i, pin_first), min(hi_i, pin_first)
-            if first_cap is not None:
-                hi_i = min(hi_i, first_cap)
-        for col in range(lo_i, hi_i + 1):
+        if fresh:
+            lu, hu = window(u)
+            lv, hv = window(v)
+            lo_i, hi_i = max(lu, lv), min(hu, hv)
+            if i == 0:
+                if pin_first is not None:
+                    lo_i, hi_i = max(lo_i, pin_first), min(hi_i, pin_first)
+                if first_cap is not None:
+                    hi_i = min(hi_i, first_cap)
+            colours[i] = iter(range(lo_i, hi_i + 1))
+        else:
+            unassign(e, sol[e], trails[i])
+        for col in colours[i]:
             if col in used[u] or col in used[v]:
                 continue
             meter.tick()
             trail = assign(e, col)
-            ok = True
-            if cnt is not None:
-                if cnt[need_a] == 0 and not attainable(need_a, i + 1):
-                    ok = False
-                if ok and cnt[need_b] == 0 and not attainable(need_b, i + 1):
-                    ok = False
-            if ok and dfs(i + 1):
-                return True
+            if cnt is None or (
+                (cnt[need_a] > 0 or attainable(need_a, i + 1))
+                and (cnt[need_b] > 0 or attainable(need_b, i + 1))
+            ):
+                trails[i] = trail
+                i, fresh = i + 1, True
+                break
             unassign(e, col, trail)
-        return False
-
-    return dict(sol) if dfs(0) else None
+        else:
+            i, fresh = i - 1, False
+    return None
 
 
 def _colour_components(
@@ -355,34 +368,38 @@ def _thickness(g: Graph, k_max: int, meter: _Meter) -> ThicknessResult | None:
         return memo[key]
 
     for k in range(1, k_max + 1):
+        # edge 0 is in part 0; frame i holds the parts left to try on edge i
+        # and width[i], the number of parts the edges before it use
         assignment = [0] * m
-        found: list[list[Edge]] | None = None
-
-        def dfs(i: int, used_parts: int) -> bool:
-            nonlocal found
+        width = [1] * (m + 1)
+        choices: list = [None] * (m + 1)
+        i = 1
+        choices[1] = iter(range(min(width[1], k - 1) + 1))
+        while i >= 1:
             if i == m:
-                parts: list[list[Edge]] = [[] for _ in range(used_parts)]
+                parts: list[list[Edge]] = [[] for _ in range(width[m])]
                 for j, e in enumerate(edges):
                     parts[assignment[j]].append(e)
                 for part in parts:
                     meter.tick()
                     if colouring_of(part) is None:
-                        return False
-                found = parts
-                return True
-            cap = min(used_parts, k - 1)
-            for p in range(cap + 1):
-                meter.tick()
-                assignment[i] = p
-                if dfs(i + 1, max(used_parts, p + 1)):
-                    return True
-            return False
-
-        if dfs(1, 1):
-            part_of = {e: idx for idx, part in enumerate(found) for e in part}
-            partition = EdgePartition(g, part_of, len(found))
-            colourings = [colouring_of(part) for part in found]
-            return ThicknessResult(len(found), partition, colourings, False, meter.nodes)
+                        break
+                else:
+                    part_of = {e: idx for idx, part in enumerate(parts) for e in part}
+                    partition = EdgePartition(g, part_of, len(parts))
+                    colourings = [colouring_of(part) for part in parts]
+                    return ThicknessResult(len(parts), partition, colourings, False, meter.nodes)
+                i -= 1
+                continue
+            p = next(choices[i], None)
+            if p is None:
+                i -= 1
+                continue
+            meter.tick()
+            assignment[i] = p
+            i += 1
+            width[i] = max(width[i - 1], p + 1)
+            choices[i] = iter(range(min(width[i], k - 1) + 1))
     return None
 
 

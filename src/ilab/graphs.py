@@ -182,8 +182,9 @@ class BipartiteGraph:
     ) -> "BipartiteGraph":
         """Build without validating or sorting.
 
-        Only for parts derived from an already validated graph: label tuples
-        taken from its sides and a sorted subsequence of its edges.
+        The caller guarantees what ``__post_init__`` would check and produce:
+        ``left`` and ``right`` are tuples of distinct labels, no label on both
+        sides, and ``edges`` is a sorted tuple of distinct left->right pairs.
         """
         obj = object.__new__(cls)
         object.__setattr__(obj, "left", left)

@@ -23,13 +23,16 @@ for that adversary only.
 Budgets: stage k flags a pivot vertex a in A_k when it sends more than
 ``8 * eps * delta^{-i} * n`` layer-k edges of part f_i into K_i's ground
 side. A flagged overrun is *certified* as a witness only when it clears the
-sound threshold N - 1 > (diam + 3) * (Delta - 1); overruns below that are
-recorded but prove nothing.
+sound threshold N - 1 > (diam + 3) * (Delta - 1), where Delta is K_i's
+degree cap: the largest ambient degree over its vertices, computed once
+when K_i is recorded. Overruns below the threshold are recorded but prove
+nothing.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -93,6 +96,9 @@ class LowerBoundParams:
 
 @dataclass(frozen=True)
 class LayeredBipartite:
+    """The layers over B. Ground ids lie below every A id, so each layer edge
+    ``(b, a)`` is already in canonical form."""
+
     params: LowerBoundParams
     a_layers: tuple[tuple[int, ...], ...]  # a_layers[i-1] = ids of A_i
     layer_graphs: tuple[BipartiteGraph, ...]  # left side is always B
@@ -119,10 +125,7 @@ class LayeredBipartite:
         raise ValueError(f"vertex {vertex} out of range")
 
     def all_edges(self) -> tuple[Edge, ...]:
-        out = []
-        for lg in self.layer_graphs:
-            out.extend(canonical_edge(u, v) for u, v in lg.edges)
-        return tuple(sorted(out))
+        return tuple(sorted(e for lg in self.layer_graphs for e in lg.edges))
 
     def to_graph(self) -> Graph:
         return Graph(self.vertex_count, self.all_edges())
@@ -141,6 +144,7 @@ def generate(params: LowerBoundParams) -> LayeredBipartite:
     """Sample the layered graph; layer i uses rng stream [seed, i]."""
     a_layers = []
     graphs = []
+    ground = tuple(range(params.n))
     next_id = params.n
     for i in range(1, params.r + 1):
         size = params.layer_size(i)
@@ -149,9 +153,9 @@ def generate(params: LowerBoundParams) -> LayeredBipartite:
         rng = np.random.default_rng([params.seed, i])
         hit = rng.random((size, params.n)) < params.p(i)
         a_idx, b_idx = np.nonzero(hit)
-        edges = tuple((int(b), layer[int(a)]) for a, b in zip(a_idx, b_idx))
+        edges = tuple(sorted((int(b), layer[int(a)]) for a, b in zip(a_idx, b_idx)))
         a_layers.append(layer)
-        graphs.append(BipartiteGraph(tuple(range(params.n)), layer, edges))
+        graphs.append(BipartiteGraph._trusted(ground, layer, edges))
     return LayeredBipartite(params, tuple(a_layers), tuple(graphs))
 
 
@@ -190,7 +194,6 @@ def check_biregular(b: BipartiteGraph, p: float) -> tuple[bool, int | None]:
 class PseudoReport:
     ok: bool
     worst_ratio: float  # max |e(U,V) - p|U||V|| / (|U||V|)^0.85 seen
-    pairs_tested: int
     exhaustive: bool
 
 
@@ -210,7 +213,7 @@ def check_pseudorandom(
     """
     nc, nd = len(b.left), len(b.right)
     if nc == 0 or nd == 0:
-        return PseudoReport(True, 0.0, 0, True)
+        return PseudoReport(True, 0.0, True)
     min_u = max(1, math.ceil(alpha * nc))
     min_v = max(1, math.ceil(alpha * nd))
     lpos = {u: i for i, u in enumerate(b.left)}
@@ -228,7 +231,7 @@ def check_pseudorandom(
         sizes = np.outer(mu.sum(axis=1), mv.sum(axis=1))
         ratios = np.abs(counts - p * sizes) / sizes**0.85
         worst = float(ratios.max())
-        return PseudoReport(worst <= 1.0, worst, ratios.size, True)
+        return PseudoReport(worst <= 1.0, worst, True)
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -239,7 +242,7 @@ def check_pseudorandom(
         iv = rng.choice(nd, size=sv, replace=False)
         count = float(m[np.ix_(iu, iv)].sum())
         worst = max(worst, abs(count - p * su * sv) / (su * sv) ** 0.85)
-    return PseudoReport(worst <= 1.0, worst, trials, False)
+    return PseudoReport(worst <= 1.0, worst, False)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +258,11 @@ class DenseSubgraphReport:
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]  # part-coloured edges inside the subgraph
     diameter: int
-    ground_size: int  # |C|, size of the side x0 was drawn from
 
     @property
     def ground_hits(self) -> int:
-        """|K intersect C| = |{x0} union far|."""
-        return len(set(self.far) | {self.x0})
+        """|K intersect C| = |far|, since far holds x0."""
+        return len(self.far)
 
 
 def find_dense_monochromatic(
@@ -280,18 +282,15 @@ def find_dense_monochromatic(
     """
     if not b.edges:
         raise ValueError("graph has no edges")
-    counts: dict[int, int] = {}
-    for u, v in b.edges:
-        counts[part_of[canonical_edge(u, v)]] = (
-            counts.get(part_of[canonical_edge(u, v)], 0) + 1
-        )
+    labelled = [(u, v, part_of[canonical_edge(u, v)]) for u, v in b.edges]
+    counts = Counter(p for _, _, p in labelled)
     best = max(counts.values())
     part = min(p for p, c in counts.items() if c == best)
 
     adj_l: dict[int, list[int]] = {}
     adj_r: dict[int, list[int]] = {}
-    for u, v in b.edges:
-        if part_of[canonical_edge(u, v)] == part:
+    for u, v, p in labelled:
+        if p == part:
             adj_l.setdefault(u, []).append(v)
             adj_r.setdefault(v, []).append(u)
     x0, x0_score = -1, -1
@@ -301,21 +300,11 @@ def find_dense_monochromatic(
             x0, x0_score = u, score
     middle = tuple(sorted(adj_l[x0]))
     far = tuple(sorted({u for v in middle for u in adj_r[v]}))
-    vertex_set = {x0, *middle, *far}
-    edges = tuple(
-        sorted(
-            canonical_edge(u, v)
-            for v in middle
-            for u in adj_r[v]
-            if u in vertex_set
-        )
-    )
-    # relabel for the diameter computation
-    labels = sorted(vertex_set)
+    edges = tuple(sorted(canonical_edge(u, v) for v in middle for u in adj_r[v]))
+    # relabel for the diameter computation; far holds x0
+    labels = sorted({*middle, *far})
     pos = {x: i for i, x in enumerate(labels)}
-    local = Graph(
-        len(labels), tuple(sorted(canonical_edge(pos[u], pos[v]) for u, v in edges))
-    )
+    local = Graph(len(labels), tuple((pos[u], pos[v]) for u, v in edges))
     diam = diameter(local)
     if not math.isfinite(diam) or diam > 4:
         raise AssertionError("second neighbourhood must be connected with diameter <= 4")
@@ -327,7 +316,6 @@ def find_dense_monochromatic(
         vertices=tuple(labels),
         edges=edges,
         diameter=int(diam),
-        ground_size=len(b.left),
     )
 
 
@@ -370,47 +358,36 @@ def validate_spread_witness(
 
     All quantities are rebuilt from the layered graph: the part's subgraph on
     `h_vertices` (all layers), its connectivity and diameter, the pivot's
-    edge count into it, and the true ambient max degree over the piece. The
-    pivot's neighbours must each carry an internal part edge so the spread
-    transfers.
+    edge count into it, and the true ambient max degree over the piece.
+    Every piece vertex must carry an internal part edge, so each of the
+    pivot's neighbours does and the spread transfers. One scan of the
+    layered graph's edges collects both the piece's and the pivot's part
+    edges.
     """
     hset = set(w.h_vertices)
     if w.pivot in hset:
         return False, "pivot lies inside the piece"
-    h_edges = [
-        canonical_edge(u, v)
-        for u, v in lb.all_edges()
-        if u in hset and v in hset and part_of.get(canonical_edge(u, v)) == w.part
-    ]
+    h_edges: list[Edge] = []  # part edges inside the piece
+    pivot_hits: list[int] = []  # piece ends of the pivot's part edges
+    for e in lb.all_edges():
+        inside = (e[0] in hset) + (e[1] in hset)
+        if inside and part_of.get(e) == w.part:
+            if inside == 2:
+                h_edges.append(e)
+            elif w.pivot in e:
+                pivot_hits.append(e[0] if e[1] == w.pivot else e[1])
     if not h_edges:
         return False, "piece carries no edges of the part"
     labels = sorted(hset)
     pos = {x: i for i, x in enumerate(labels)}
-    local = Graph(
-        len(labels),
-        tuple(sorted(canonical_edge(pos[u], pos[v]) for u, v in h_edges)),
-    )
-    # only vertices touched by part edges matter for connectivity
+    local = Graph(len(labels), tuple((pos[u], pos[v]) for u, v in h_edges))
     touched = {x for e in h_edges for x in e}
-    if len([c for c in local.components() if len(c) > 1]) != 1 or touched != hset:
+    if touched != hset or not local.is_connected():
         return False, "part edges do not connect the piece"
     diam = diameter(local)
-    h_degree = {x: 0 for x in hset}
-    for u, v in h_edges:
-        h_degree[u] += 1
-        h_degree[v] += 1
-    pivot_hits = [
-        v if u == w.pivot else u
-        for u, v in lb.all_edges()
-        if w.pivot in (u, v)
-        and (v if u == w.pivot else u) in hset
-        and part_of.get(canonical_edge(u, v)) == w.part
-    ]
     n_edges = len(pivot_hits)
     if n_edges != w.edge_count:
         return False, f"pivot edge count is {n_edges}, witness says {w.edge_count}"
-    if any(h_degree[y] == 0 for y in pivot_hits):
-        return False, "a pivot neighbour has no internal part edge"
     delta = max(max(lb.ambient_degree(x) for x in hset), 1)
     if delta > w.delta_cap:
         return False, f"ambient degree {delta} exceeds claimed cap {w.delta_cap}"
@@ -439,7 +416,6 @@ class Overrun:
 @dataclass(frozen=True)
 class StageHypotheses:
     biregular: bool
-    biregular_offender: int | None
     pseudorandom: bool
     worst_ratio: float
 
@@ -489,36 +465,36 @@ def adversarial_probe(
     Stage k: scan A_k for pivots overrunning the budget into any earlier
     piece (certified overruns become witnesses and end the probe), delete
     layer-k edges of already-used parts, find a dense single-part subgraph on
-    the survivors, and descend into its ground side. An empty survivor graph
-    forces a rerun on the undeleted restriction; the part found there is
-    necessarily a repeat, which is the contradiction flag. Hypothesis checks
-    on each stage's restriction are recorded, not enforced; the deletion
-    proportion reported per stage is the worst fraction of any single A_k
-    vertex's edges into the surviving ground that the deletion removed.
+    the survivors, and descend into its ground side. Each piece's degree cap,
+    against which its overruns are certified, is computed once, when the
+    piece is recorded. An empty survivor graph forces a rerun on the
+    undeleted restriction; the part found there is necessarily a repeat,
+    which is the contradiction flag. Hypothesis checks on each stage's
+    restriction are recorded, not enforced; the deletion proportion reported
+    per stage is the worst fraction of any single A_k vertex's edges into
+    the surviving ground that the deletion removed.
     """
     if not 0 < budget_scale < math.inf:
         raise ValueError(f"budget_scale must be positive and finite, got {budget_scale}")
     params = lb.params
     trace = ProbeTrace(params=params, budget_scale=budget_scale)
     ground: set[int] = set(lb.ground)
-    used: list[tuple[int, DenseSubgraphReport, set[int]]] = []  # (part, K_i, B_i)
+    # (part, K_i, B_i, degree cap of K_i)
+    used: list[tuple[int, DenseSubgraphReport, set[int], int]] = []
 
     for k in range(1, params.r + 1):
         layer = lb.layer_graphs[k - 1]
         # -- witness scan against every earlier piece
-        for i, (f_i, report_i, b_i) in enumerate(used, start=1):
+        for i, (f_i, report_i, b_i, delta_cap) in enumerate(used, start=1):
             budget = probe_budget(params, i, budget_scale)
             for a in lb.a_layers[k - 1]:
                 hits = [
                     b
                     for b in layer.right_adjacency.get(a, ())
-                    if b in b_i and part_of[canonical_edge(b, a)] == f_i
+                    if b in b_i and part_of[(b, a)] == f_i
                 ]
                 if len(hits) <= budget:
                     continue
-                delta_cap = max(
-                    max(lb.ambient_degree(x) for x in report_i.vertices), 1
-                )
                 w = SpreadWitness(
                     part=f_i,
                     h_vertices=report_i.vertices,
@@ -537,33 +513,28 @@ def adversarial_probe(
             return trace
 
         # -- restriction of layer k to the surviving ground vertices
-        ground_sorted = tuple(sorted(ground))
-        restricted = layer.restrict(ground_sorted, lb.a_layers[k - 1])
+        restricted = layer.restrict(ground, lb.a_layers[k - 1])
         if not restricted.edges:
             trace.stages.append(
                 ProbeStage(k, None, None, len(ground), len(ground), 0.0, None)
             )
             return trace
-        used_parts = {f for f, _, _ in used}
-        fresh_edges = tuple(
-            (u, v)
-            for u, v in restricted.edges
-            if part_of[canonical_edge(u, v)] not in used_parts
+        # -- deletion of the used parts' edges, one part lookup per edge
+        used_parts = {f for f, *_ in used}
+        fresh_edges: list[Edge] = []
+        deleted: Counter[int] = Counter()  # A_k vertex -> its deleted edges
+        for b, a in restricted.edges:
+            if part_of[(b, a)] in used_parts:
+                deleted[a] += 1
+            else:
+                fresh_edges.append((b, a))
+        proportion = max(
+            (d / len(restricted.right_adjacency[a]) for a, d in deleted.items()),
+            default=0.0,
         )
-        proportion = 0.0
-        for a in lb.a_layers[k - 1]:
-            deg_a = len(restricted.right_adjacency.get(a, ()))
-            if deg_a == 0:
-                continue
-            deleted_a = sum(
-                1
-                for b in restricted.right_adjacency[a]
-                if part_of[canonical_edge(b, a)] in used_parts
-            )
-            proportion = max(proportion, deleted_a / deg_a)
 
         p_k = params.p(k)
-        ok_b, offender = check_biregular(restricted, p_k)
+        ok_b, _ = check_biregular(restricted, p_k)
         pseudo = check_pseudorandom(
             restricted,
             DensePartHypothesis(p_k, params.r).alpha,
@@ -571,16 +542,19 @@ def adversarial_probe(
             trials=100,
             seed=abs(params.seed * 100_003 + k),
         )
-        hyp = StageHypotheses(ok_b, offender, pseudo.ok, pseudo.worst_ratio)
+        hyp = StageHypotheses(ok_b, pseudo.ok, pseudo.worst_ratio)
 
         forced = not fresh_edges
         search_graph = (
             restricted
             if forced
-            else BipartiteGraph(restricted.left, restricted.right, fresh_edges)
+            # a sorted subsequence of the restricted layer's edges
+            else BipartiteGraph._trusted(
+                restricted.left, restricted.right, tuple(fresh_edges)
+            )
         )
         report = find_dense_monochromatic(search_graph, part_of)
-        new_ground = {x for x in report.vertices if x in ground}
+        new_ground = set(report.far)
         stage = ProbeStage(
             k=k,
             part=report.part,
@@ -595,6 +569,7 @@ def adversarial_probe(
         if forced:
             trace.contradiction = True
             return trace
-        used.append((report.part, report, new_ground))
+        cap = max(max(lb.ambient_degree(x) for x in report.vertices), 1)
+        used.append((report.part, report, new_ground, cap))
         ground = new_ground
     return trace

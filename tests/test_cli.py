@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ilab.decompose as dec
 from conftest import random_graph
+from test_randlab import planted_instance
 from ilab.cli import main
 from ilab.colouring import verify
 from ilab.formats import (
@@ -140,6 +142,18 @@ class TestSolve:
         g = files("petersen.txt", PETERSEN)
         code, out, _ = run(capsys, "solve", g, "--time-limit", "1e-9")
         assert code == 3 and out == "budget exhausted: time limit exceeded\n"
+
+    @pytest.mark.parametrize("mode,line", [
+        ("colourable", "interval colouring with 1299 colours\n"),
+        ("tmax", "maximum interval colours: 1299\n"),
+        ("theta", "interval thickness: 1\n"),
+    ], ids=["colourable", "tmax", "theta"])
+    def test_long_path_has_no_depth_limit(self, capsys, files, mode, line):
+        # one component of 1299 edges: each search goes one level deeper per
+        # edge, past the interpreter's default recursion limit of 1000
+        g = files("p.txt", "1300 1299\n" + "".join(f"{i} {i + 1}\n" for i in range(1299)))
+        code, out, err = run(capsys, "solve", g, "--mode", mode)
+        assert code == 0 and err == "" and out == line
 
 
 class TestDecompose:
@@ -299,6 +313,119 @@ class TestProbe:
                              "--report", str(report))
         assert code == 2 and out == "" and not report.exists()
         assert err.startswith("error: budget_scale must be positive") and err.count("\n") == 1
+
+
+def probe_partition(lb, strategy, seed):
+    """One of scripts/probe_lower_bound.py's three strategies, as partition JSON."""
+    edges = lb.all_edges()
+    if strategy == "single-part":
+        labels = [0] * len(edges)
+    elif strategy == "layers-as-parts":
+        layer_of = {e: i for i, g in enumerate(lb.layer_graphs) for e in g.edges}
+        labels = [layer_of[e] for e in edges]
+    else:  # random-4-parts
+        rng = random.Random(seed)
+        labels = [rng.randrange(4) for _ in edges]
+    return json.dumps({"edges": [list(e) for e in edges], "parts": labels})
+
+
+def probe_outcomes(doc, out):
+    """What a probe run went through, read from its report and stdout."""
+    tags = set()
+    if doc["witnesses"]:
+        tags.add("witness")
+    if doc["overruns"]:
+        tags.add("overrun")
+    if any(st["forced_repeat"] for st in doc["stages"]):
+        tags.add("repeat")
+    if "partition survived all" in out:
+        tags.add("survived")
+    return tags
+
+
+# (n, seed, strategy, budget scale, outcomes, SHA-256 of report + stdout);
+# n = None is the planted witness instance of tests/test_randlab.py
+FROZEN_PROBES = [
+    (100, 0, "single-part", "1", {"repeat"},
+     "2e81e9ca76605f927666c1019ceff24cb2f478185399217a87364624b3b4799e"),
+    (100, 0, "single-part", "0.1", {"overrun", "repeat"},
+     "6af5add3a6977bee8913a1160cbd3c3320536dfb648f2810e6a848f406d7db03"),
+    (100, 0, "layers-as-parts", "1", {"survived"},
+     "979268aab686a866d795ee4b7a296c3bef62ad13a980bb41d3ca9391bf7ea02a"),
+    (100, 0, "layers-as-parts", "0.1", {"survived"},
+     "439db47328ba2daa04d02ba1a25e4d9ffaa14f15d9f8f71825a7def434b3e1d8"),
+    (100, 0, "random-4-parts", "1", set(),
+     "598c7cf462a695ef4c1cce4b3b57f0e2731d684787f2098202bb106dcaa7a0d4"),
+    (100, 0, "random-4-parts", "0.1", set(),
+     "38b93c3ecf5d20da70a5c74db31f93f06cdbcda4a5961337910bfadc617f1833"),
+    (100, 1, "single-part", "1", {"repeat"},
+     "0cbbdd896ee957744689c7d0f835ebb743688bda164d402b755bfbadb29d65d1"),
+    (100, 1, "single-part", "0.1", {"overrun", "repeat"},
+     "78fd5320dd4995f1a981091aef80d79486b2a2114ec5998babeb7a4c0cf0e069"),
+    (100, 1, "layers-as-parts", "1", {"survived"},
+     "81c4fc72dd7c91a29273616057eef29d9281ddc1d576f2396648e5ffc715e6b8"),
+    (100, 1, "layers-as-parts", "0.1", {"survived"},
+     "63f007399e1e6a5740482f99db1c5e754c6a7276e31acbf9a105fbab98c98ee6"),
+    (100, 1, "random-4-parts", "1", {"repeat"},
+     "f42a705df9c790ac576566dce55602e5cae8d0c9a5025a3f9cb8cb08c7613f09"),
+    (100, 1, "random-4-parts", "0.1", {"repeat"},
+     "9ef7e56c9a034c0353fba081344dc541c559e2fe17fb6e180bd07747903a70e1"),
+    (300, 0, "single-part", "1", {"repeat"},
+     "1f633fa27fc44c868c890df17acf6fe0dd4102ef2ebb5ba6257f85b555fcbd75"),
+    (300, 0, "single-part", "0.1", {"overrun", "repeat"},
+     "1c49a0b6c7173a24ad6df77f9c416b14f16b03fd65569430d754ee42df2af43d"),
+    (300, 0, "layers-as-parts", "1", {"survived"},
+     "fd81228e5e84764f94ecf3cabd1c71378a49f2ce2f6b4dfe1d70f92394a0e0b6"),
+    (300, 0, "layers-as-parts", "0.1", {"survived"},
+     "0e54dc1b6129ce3d630114455155d79e0c5062a01126059d132ff6c77b0a9d2b"),
+    (300, 0, "random-4-parts", "1", {"repeat"},
+     "7576758f477675ad7ee3ba2dff00f9a7cf396b2ff971f5a88451779696b3803b"),
+    (300, 0, "random-4-parts", "0.1", {"repeat"},
+     "a1738614e4a1f1bd3245b718383f4de7a490da60d0c79627880ef5867ac3c82d"),
+    (300, 1, "single-part", "1", {"repeat"},
+     "d4f5517640aef9e303e12a4b8fb611e1ea2b7dab0861ef781ab1675e7f9e47fb"),
+    (300, 1, "single-part", "0.1", {"overrun", "repeat"},
+     "55c1b4830660d9aaf6f70aa591bc131f499d55af37f9d383a0d7272b287dc5de"),
+    (300, 1, "layers-as-parts", "1", {"survived"},
+     "4198d9c4f7d36832a9a1f47982d622fe60453dee09b70a0b32c692e2d5d09e83"),
+    (300, 1, "layers-as-parts", "0.1", {"survived"},
+     "f56115772d6acc8ea288299a82c96d02ee0b6b2b08165ff61212d7fe2b6fbf17"),
+    (300, 1, "random-4-parts", "1", {"survived"},
+     "3cea83875721cca3a7dedf53aa2b92d5c9119cd051c31f0b2212e3d6eb1a8690"),
+    (300, 1, "random-4-parts", "0.1", {"survived"},
+     "0eb1fdb949255fb95e8521ad8e288bc1569ac57a34d1be3fb92276e6461a96ff"),
+    (None, 0, "single-part", "1", {"witness"},
+     "e5a7b912c8c6f630bb3a8a6d0f63737c8d70878b12c0252226a9ae032ced969f"),
+]
+
+
+@pytest.mark.parametrize(
+    "n,seed,strategy,scale,outcomes,digest", FROZEN_PROBES,
+    ids=[f"n{c[0] or '-planted'}-s{c[1]}-{c[2]}-x{c[3]}" for c in FROZEN_PROBES],
+)
+def test_probe_bytes_are_frozen(capsys, tmp_path, n, seed, strategy, scale, outcomes, digest):
+    layered = tmp_path / "lb.json"
+    if n is None:
+        lb, _ = planted_instance()
+        layered.write_text(serialize_layered_json(lb))
+    else:
+        code, _, _ = run(capsys, "gen-lower", "--r", "3", "--delta", "0.2", "--epsilon",
+                         "0.005", "--n", n, "--seed", seed, "-o", layered)
+        assert code == 0
+        lb = parse_layered_json(layered.read_text())
+    parts = tmp_path / "parts.json"
+    parts.write_text(probe_partition(lb, strategy, seed))
+    report = tmp_path / "probe.json"
+    code, out, err = run(capsys, "probe", layered, parts, "--report", report,
+                         "--budget-scale", scale)
+    assert code in (0, 1) and err == ""
+    assert probe_outcomes(json.loads(report.read_text()), out) == outcomes
+    assert hashlib.sha256(report.read_bytes() + out.encode()).hexdigest() == digest
+
+
+def test_frozen_probes_cover_every_outcome():
+    seen = set().union(*(c[4] for c in FROZEN_PROBES))
+    assert seen >= {"witness", "overrun", "repeat", "survived"}
 
 
 def _without(key):

@@ -7,6 +7,7 @@ the way ``Tracer.installed`` resolves it. ``perfbench/`` is only read.
 """
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -59,3 +60,28 @@ def test_traced_decompose_records_the_flow_layers(tmp_path, capsys):
     assert metrics["flows.hopcroft_karp.calls"] > 0
     assert metrics["decompose.find_k_factor.failed"] > 0
     assert metrics["graphs.restrict.calls"] > 0
+
+
+def test_traced_probe_records_the_randlab_layers(tmp_path, capsys):
+    # n = 100, seed 0, every edge in one part, at budget scale 0.1: three
+    # stages run the hypothesis checks and the dense-part search, and later
+    # stages record overruns before a forced repeat
+    layered = tmp_path / "lb.json"
+    originals = wrapped_attributes()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        assert main(["gen-lower", "--r", "3", "--delta", "0.2", "--epsilon", "0.005",
+                     "--n", "100", "--seed", "0", "-o", str(layered)]) == 0
+        edges = json.loads(layered.read_text())["edges"]
+        parts = tmp_path / "parts.json"
+        parts.write_text(json.dumps({"edges": [[b, a] for b, a, _ in edges],
+                                     "parts": [0] * len(edges)}))
+        assert main(["probe", str(layered), str(parts), "--budget-scale", "0.1"]) == 0
+    capsys.readouterr()
+    assert wrapped_attributes() == originals
+    called = {name for name, *_ in tracer.spans}
+    assert {"randlab.generate", "randlab.parse_layered_json", "randlab.adversarial_probe",
+            "randlab.check_biregular", "randlab.check_pseudorandom",
+            "randlab.find_dense_monochromatic", "graphs.diameter",
+            "graphs.restrict"} <= called
+    assert spans.layer_metrics(tracer, passes=1)["randlab.overruns"] > 0
