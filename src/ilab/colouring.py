@@ -17,6 +17,7 @@ colouring is not an interval colouring of any supergraph of ``H``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -72,17 +73,22 @@ class ColouringReport:
 def verify(c: EdgeColouring) -> ColouringReport:
     """Check properness and interval-ness vertex by vertex.
 
-    The first violation (lowest vertex id, properness before interval-ness)
-    is reported; an empty graph verifies trivially.
+    One pass over the colours gathers each vertex's colours, so the cost is
+    linear in the edges whatever the vertex count; isolated vertices carry
+    no colours and are never looked at. The touched vertices are then
+    checked in ascending id order and the first violation (lowest vertex id,
+    properness before interval-ness) is reported; an empty graph verifies
+    trivially.
     """
-    g = c.graph
+    at: dict[int, list[int]] = defaultdict(list)
+    for (u, v), colour in c.colours.items():
+        at[u].append(colour)
+        at[v].append(colour)
     violation = None
     proper = True
     interval = True
-    for v in range(g.vertex_count):
-        cols = c.vertex_colours(v)
-        if not cols:
-            continue
+    for v in sorted(at):
+        cols = sorted(at[v])
         distinct = len(set(cols))
         if distinct != len(cols):
             proper = False
@@ -167,25 +173,33 @@ def colour_forest(f: Graph) -> EdgeColouring:
     ``1..deg`` in neighbour order, and below that a vertex whose parent edge
     has colour ``p`` gives its child edges ``p+1, p+2, ...`` so every vertex
     sees ``[p, p + deg - 1]``.
+
+    Only the vertices that carry an edge are visited, so the cost is linear
+    in the edges whatever the vertex count. ``f.edges`` is sorted and
+    canonical, so each neighbour list built from it comes out ascending.
     """
+    adj: dict[int, list[int]] = defaultdict(list)
+    for u, v in f.edges:
+        adj[u].append(v)
+        adj[v].append(u)
     colours: dict[Edge, int] = {}
-    seen = [False] * f.vertex_count
-    for root in range(f.vertex_count):
-        if seen[root]:
+    seen: set[int] = set()
+    for root in sorted(adj):
+        if root in seen:
             continue
-        seen[root] = True
+        seen.add(root)
         # (vertex, parent, colour of parent edge)
         stack = [(root, -1, 0)]
         while stack:
             v, parent, pcol = stack.pop()
             nxt = pcol + 1
-            for w in f.adjacency[v]:
+            for w in adj[v]:
                 if w == parent:
                     continue
-                if seen[w]:
+                if w in seen:
                     raise ValueError(f"input contains a cycle through ({v}, {w})")
-                seen[w] = True
-                colours[canonical_edge(v, w)] = nxt
+                seen.add(w)
+                colours[(v, w) if v < w else (w, v)] = nxt
                 stack.append((w, v, nxt))
                 nxt += 1
     return EdgeColouring(f, colours)

@@ -384,40 +384,35 @@ def colour_regular_bipartite(h: BipartiteGraph) -> EdgeColouring:
 # forests
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
-
-
 def forest_partition(g: Graph) -> list[Graph]:
-    """First-fit partition of the edges into forests (canonical edge order)."""
+    """First-fit partition of the edges into forests (canonical edge order).
+
+    Each forest keeps one union-find parent list over the vertex ids, with
+    path-halving find inlined; an edge joins the first forest in which its
+    ends lie in different trees. Each forest's edges are a sorted
+    subsequence of ``g.edges``, so it is returned without re-validation.
+    """
     forests: list[list[Edge]] = []
-    finders: list[_UnionFind] = []
+    parents: list[list[int]] = []
     for e in g.edges:
-        for bucket, uf in zip(forests, finders):
-            if uf.find(e[0]) != uf.find(e[1]):
-                uf.union(*e)
+        for bucket, parent in zip(forests, parents):
+            x, y = e
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            while parent[y] != y:
+                parent[y] = parent[parent[y]]
+                y = parent[y]
+            if x != y:
+                parent[x] = y
                 bucket.append(e)
                 break
         else:
-            uf = _UnionFind(g.vertex_count)
-            uf.union(*e)
+            parent = list(range(g.vertex_count))
+            parent[e[0]] = e[1]
             forests.append([e])
-            finders.append(uf)
-    return [Graph(g.vertex_count, tuple(es)) for es in forests]
+            parents.append(parent)
+    return [Graph._trusted(g.vertex_count, tuple(es)) for es in forests]
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +480,10 @@ def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> Decompositio
                 left, right, tuple(e for e in cur.edges if e not in used)
             )
         if cur.edges:
-            rem_graph = Graph(
-                g.vertex_count, tuple(canonical_edge(u, v) for u, v in cur.edges)
+            # distinct edges of g, canonicalised and sorted: no re-validation
+            rem_graph = Graph._trusted(
+                g.vertex_count,
+                tuple(sorted((u, v) if u < v else (v, u) for u, v in cur.edges)),
             )
             parts.extend(
                 ForestPart(layer.bit, colour_forest(forest))

@@ -41,6 +41,7 @@ winning parts' colourings are read from it.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass
@@ -93,21 +94,32 @@ class _Meter:
 
 
 def _connected_edge_order(edges: list[Edge]) -> list[Edge]:
-    """Order edges so each one after the first shares a vertex with the prefix."""
-    if not edges:
-        return []
-    remaining = sorted(edges)
-    order = [remaining.pop(0)]
-    covered = set(order[0])
-    while remaining:
-        for i, e in enumerate(remaining):
-            if e[0] in covered or e[1] in covered:
-                order.append(remaining.pop(i))
-                covered.update(e)
-                break
-        else:  # disconnected input: start a fresh component
-            order.append(remaining.pop(0))
-            covered.update(order[-1])
+    """Order one component's edges so each after the first meets the prefix.
+
+    ``edges`` must be non-empty and connected. Each step takes the smallest
+    unused edge at a covered vertex, from a heap of the edges at covered
+    vertices with lazy deletion, so the cost is O(m log m).
+    """
+    incident: dict[int, list[Edge]] = {}
+    for e in edges:
+        incident.setdefault(e[0], []).append(e)
+        incident.setdefault(e[1], []).append(e)
+    used: set[Edge] = set()
+    covered: set[int] = set()
+    heap = [min(edges)]
+    order: list[Edge] = []
+    while heap:
+        e = heapq.heappop(heap)
+        if e in used:
+            continue
+        used.add(e)
+        order.append(e)
+        for x in e:
+            if x not in covered:
+                covered.add(x)
+                for f in incident[x]:
+                    if f not in used:
+                        heapq.heappush(heap, f)
     return order
 
 

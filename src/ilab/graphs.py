@@ -49,6 +49,20 @@ class Graph:
             norm.append(e)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
+    @classmethod
+    def _trusted(cls, vertex_count: int, edges: tuple[Edge, ...]) -> "Graph":
+        """Build without validating or sorting.
+
+        The caller guarantees what ``__post_init__`` would check and produce:
+        ``vertex_count >= 0`` and ``edges`` is a sorted tuple of distinct
+        pairs ``(u, v)`` with ``0 <= u < v < vertex_count`` — for example a
+        sorted subsequence of a validated graph's edges.
+        """
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "vertex_count", vertex_count)
+        object.__setattr__(obj, "edges", edges)
+        return obj
+
     @property
     def edge_count(self) -> int:
         return len(self.edges)

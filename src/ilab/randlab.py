@@ -111,10 +111,6 @@ class LayeredBipartite:
     def ground(self) -> tuple[int, ...]:
         return tuple(range(self.n))
 
-    @property
-    def vertex_count(self) -> int:
-        return self.n + sum(len(a) for a in self.a_layers)
-
     def layer_of(self, vertex: int) -> int | None:
         """1-based layer index of an A-side vertex, None for ground vertices."""
         if vertex < self.n:
@@ -126,9 +122,6 @@ class LayeredBipartite:
 
     def all_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(e for lg in self.layer_graphs for e in lg.edges))
-
-    def to_graph(self) -> Graph:
-        return Graph(self.vertex_count, self.all_edges())
 
     def ambient_degree(self, vertex: int) -> int:
         total = 0
@@ -417,7 +410,6 @@ class Overrun:
 class StageHypotheses:
     biregular: bool
     pseudorandom: bool
-    worst_ratio: float
 
 
 @dataclass
@@ -542,7 +534,7 @@ def adversarial_probe(
             trials=100,
             seed=abs(params.seed * 100_003 + k),
         )
-        hyp = StageHypotheses(ok_b, pseudo.ok, pseudo.worst_ratio)
+        hyp = StageHypotheses(ok_b, pseudo.ok)
 
         forced = not fresh_edges
         search_graph = (

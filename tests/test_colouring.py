@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ilab import EdgeColouring, Graph, colour_forest, count_colours, spread_cap, spread_check, verify
+from ilab.colouring import ColouringReport
 from ilab.formats import (
     FormatError,
     parse_colouring_json,
@@ -114,6 +115,49 @@ class TestSpread:
             assert ok
 
 
+
+def naive_report(n, colours):
+    """verify's report, recomputed vertex by vertex over every edge."""
+    violation, proper, interval = None, True, True
+    for v in range(n):
+        cols = sorted(c for e, c in colours.items() if v in e)
+        if not cols:
+            continue
+        if len(set(cols)) < len(cols):
+            proper = interval = False
+            violation = violation or (v, f"repeated colour at vertex {v}: {cols}")
+        elif cols[-1] - cols[0] != len(cols) - 1:
+            interval = False
+            violation = violation or (v, f"colours at vertex {v} not contiguous: {cols}")
+    values = list(colours.values())
+    return ColouringReport(
+        proper, interval, len(set(values)), min(values, default=None),
+        max(values, default=None), violation,
+    )
+
+
+def test_verify_matches_naive_reference():
+    # sparse random graphs leave isolated vertices; interval colourings of
+    # forests, nudged at a few edges, give repeats and gaps as well
+    rng = random.Random(12)
+    kinds = set()
+    for _ in range(600):
+        n = rng.randint(1, 14)
+        if rng.random() < 0.5:
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+            colours = {e: rng.randint(-2, 4) for e in edges}
+        else:
+            edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.7]
+            colours = dict(colour_forest(Graph(n, tuple(edges))).colours)
+            for e in rng.sample(sorted(colours), min(len(colours), rng.randint(0, 2))):
+                colours[e] += rng.choice((-2, -1, 1, 2))
+        g = Graph(n, tuple(colours))
+        got = verify(EdgeColouring(g, colours))
+        assert got == naive_report(n, colours), colours
+        kinds.add((got.proper, got.interval))
+    assert kinds == {(True, True), (True, False), (False, False)}
+
+
 @st.composite
 def forests(draw):
     n = draw(st.integers(1, 40))
@@ -129,6 +173,33 @@ def test_colour_forest_output_is_interval(f):
     c = colour_forest(f)
     assert verify(c).interval
     assert set(c.colours) == set(f.edges)
+
+
+def reference_colour_forest(f):
+    """colour_forest as a walk over every vertex id and the full adjacency."""
+    colours, seen = {}, [False] * f.vertex_count
+    for root in range(f.vertex_count):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, -1, 0)]
+        while stack:
+            v, parent, pcol = stack.pop()
+            for w in f.adjacency[v]:
+                if w != parent:
+                    seen[w] = True
+                    pcol += 1
+                    colours[(min(v, w), max(v, w))] = pcol
+                    stack.append((w, v, pcol))
+    return colours
+
+
+@given(forests(), st.integers(0, 60))
+def test_colour_forest_matches_reference(f, extra):
+    # extra ids carry no edge: the colours and their order must not move
+    for g in (f, Graph(f.vertex_count + extra, f.edges)):
+        got = colour_forest(g).colours
+        assert list(got.items()) == list(reference_colour_forest(g).items())
 
 
 def test_colour_forest_rejects_cycles():

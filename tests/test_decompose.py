@@ -332,6 +332,44 @@ def test_forest_partition_parts_are_forests_covering_everything(n, rnd):
         assert all(f.edge_count for f in parts)
 
 
+def naive_first_fit(g):
+    """First-fit forests, testing each forest by a search from one end."""
+    forests = []
+    for u, v in g.edges:
+        for forest in forests:
+            reach, todo = {u}, [u]
+            while todo:
+                x = todo.pop()
+                for a, b in forest:
+                    y = b if a == x else a if b == x else None
+                    if y is not None and y not in reach:
+                        reach.add(y)
+                        todo.append(y)
+            if v not in reach:
+                forest.append((u, v))
+                break
+        else:
+            forests.append([(u, v)])
+    return forests
+
+
+def test_forest_partition_matches_naive_first_fit():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(10)
+    for _ in range(60):
+        n = rng.randint(1, 30)
+        g = Graph(n, random_graph(n, rng.choice((0.05, 0.2, 0.5, 0.9)), seed=rng.randrange(10**6)))
+        parts = forest_partition(g)
+        assert [list(f.edges) for f in parts] == naive_first_fit(g), g.edges
+        for f in parts:
+            # what a validating Graph would hold: sorted, distinct, in range
+            assert f.vertex_count == n and Graph(n, f.edges).edges == f.edges
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(f.edges)
+            assert nx.is_forest(h)
+
+
 class TestDecomposeTheta:
     @pytest.mark.parametrize("n,p,seed", [(30, 0.2, 0), (48, 0.55, 1), (64, 0.9, 2)])
     def test_parts_are_interval_and_partition_exactly(self, n, p, seed):

@@ -274,3 +274,32 @@ def test_colouring_above_the_cap_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(exact, "certified_colour_cap", lambda g: 1)
     with pytest.raises(RuntimeError, match="certified cap"):
         max_colours(C4)
+
+
+def naive_connected_edge_order(edges):
+    """Smallest unused edge touching the prefix, starting from the smallest."""
+    remaining = sorted(edges)
+    order, covered = [remaining.pop(0)], set()
+    covered.update(order[0])
+    while remaining:
+        e = next(e for e in remaining if e[0] in covered or e[1] in covered)
+        remaining.remove(e)
+        order.append(e)
+        covered.update(e)
+    return order
+
+
+def test_connected_edge_order_matches_naive_reference():
+    rng = random.Random(8)
+    checked = 0
+    for _ in range(150):
+        n = rng.randint(1, 16)
+        g = Graph(n, random_graph(n, rng.choice((0.1, 0.2, 0.4, 0.7)), seed=rng.randrange(10**6)))
+        for comp in g.components():
+            edges = [e for e in g.edges if e[0] in comp]
+            if not edges:
+                continue
+            rng.shuffle(edges)
+            assert exact._connected_edge_order(edges) == naive_connected_edge_order(edges), edges
+            checked += 1
+    assert checked >= 150, checked
