@@ -340,7 +340,11 @@ def large_regular_subgraph(
 # ---------------------------------------------------------------------------
 
 def matching_decomposition(h: BipartiteGraph) -> list[list[tuple[int, int]]]:
-    """Split a k-regular equal-part bipartite graph into k perfect matchings."""
+    """Split a k-regular equal-part bipartite graph into k perfect matchings.
+
+    Hopcroft-Karp finds the first k - 1; each removal leaves the rest regular,
+    so after k - 1 every vertex has one edge left and those form the last.
+    """
     n = len(h.left)
     if n != len(h.right):
         raise ValueError("parts must have equal size")
@@ -355,7 +359,7 @@ def matching_decomposition(h: BipartiteGraph) -> list[list[tuple[int, int]]]:
     rpos = {v: i for i, v in enumerate(h.right)}
     remaining = set(h.edges)
     matchings = []
-    for _ in range(k):
+    for _ in range(k - 1):
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in sorted(remaining):
             adj[lpos[u]].append(rpos[v])
@@ -366,6 +370,8 @@ def matching_decomposition(h: BipartiteGraph) -> list[list[tuple[int, int]]]:
         matched = [(h.left[i], h.right[j]) for i, j in match.items()]
         matchings.append(sorted(matched))
         remaining -= set(matched)
+    if remaining:
+        matchings.append(sorted(remaining))
     return matchings
 
 

@@ -5,9 +5,11 @@ the colours at a vertex ``v`` are ``deg(v)`` distinct integers spanning
 exactly ``deg(v) - 1``, so during an edge-by-edge assignment it is necessary
 and sufficient to keep, at every vertex, all assigned colours distinct and
 within a window of width ``deg(v) - 1``; once every incident edge is coloured
-the set is forced to be contiguous. Edges are assigned in a connected order
-(every edge after the first of its component touches an already-coloured
-vertex), which keeps candidate sets small.
+the set is forced to be contiguous. Each vertex keeps its colours as one
+bitmask, so its window is read from the mask's lowest and highest bits. The
+edge list is split into components once, each in a connected order (every
+edge after the first of its component touches an already-coloured vertex),
+which keeps candidate sets small.
 
 Soundness of "none": for a connected graph the union of the per-vertex
 intervals is itself contiguous (adjacent intervals share the connecting
@@ -44,6 +46,8 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .colouring import EdgeColouring
@@ -93,34 +97,42 @@ class _Meter:
                 raise SearchBudgetExceeded("time limit exceeded")
 
 
-def _connected_edge_order(edges: list[Edge]) -> list[Edge]:
-    """Order one component's edges so each after the first meets the prefix.
+def _connected_edge_order(edges: Iterable[Edge]) -> list[list[Edge]]:
+    """Split an edge list into components, each in connected order.
 
-    ``edges`` must be non-empty and connected. Each step takes the smallest
-    unused edge at a covered vertex, from a heap of the edges at covered
-    vertices with lazy deletion, so the cost is O(m log m).
+    Each component starts at its smallest edge, and each later step takes the
+    smallest unused edge at a covered vertex, from a heap of the edges at
+    covered vertices with lazy deletion; when the heap runs dry the next
+    component starts at the smallest unused edge. Components come in order of
+    smallest vertex, and the cost is O(m log m).
     """
+    ordered = sorted(edges)
     incident: dict[int, list[Edge]] = {}
-    for e in edges:
+    for e in ordered:
         incident.setdefault(e[0], []).append(e)
         incident.setdefault(e[1], []).append(e)
     used: set[Edge] = set()
     covered: set[int] = set()
-    heap = [min(edges)]
-    order: list[Edge] = []
-    while heap:
-        e = heapq.heappop(heap)
-        if e in used:
+    components: list[list[Edge]] = []
+    for first in ordered:
+        if first in used:
             continue
-        used.add(e)
-        order.append(e)
-        for x in e:
-            if x not in covered:
-                covered.add(x)
-                for f in incident[x]:
-                    if f not in used:
-                        heapq.heappush(heap, f)
-    return order
+        heap = [first]
+        order: list[Edge] = []
+        while heap:
+            e = heapq.heappop(heap)
+            if e in used:
+                continue
+            used.add(e)
+            order.append(e)
+            for x in e:
+                if x not in covered:
+                    covered.add(x)
+                    for f in incident[x]:
+                        if f not in used:
+                            heapq.heappush(heap, f)
+        components.append(order)
+    return components
 
 
 def _search_component(
@@ -136,99 +148,82 @@ def _search_component(
     """DFS over one connected edge list with per-vertex window constraints.
 
     ``pin_first`` fixes the first edge's colour; ``first_cap`` upper-bounds it
-    (reflection symmetry break); ``need`` demands both listed colours appear
-    in a completed assignment.
+    (reflection symmetry break); ``need`` demands both listed colours, which
+    lie in ``lo..hi``, appear in a completed assignment. Colour ``c`` is
+    searched as ``c - lo``; each vertex's colours are one bitmask with bit
+    ``c - lo`` set, and the solution dict is built once, on success.
     """
     m = len(edges)
-    used: dict[int, set[int]] = {v: set() for e in edges for v in e}
-    vmin: dict[int, int] = {}
-    vmax: dict[int, int] = {}
-    sol: dict[Edge, int] = {}
-    need_a, need_b = need if need else (None, None)
-    cnt = {need_a: 0, need_b: 0} if need else None
+    top = hi - lo
+    mask = {v: 0 for e in edges for v in e}
+    cnt = [0] * (top + 1)  # edges holding each shifted colour
+    need_a, need_b = (None, None) if need is None else (need[0] - lo, need[1] - lo)
 
-    def window(x: int) -> tuple[int, int]:
-        if x in vmin:
-            return max(lo, vmax[x] - (deg[x] - 1)), min(hi, vmin[x] + deg[x] - 1)
-        return lo, hi
-
-    def attainable(colour: int, start: int) -> bool:
-        # can some uncoloured edge still take `colour`?
+    def attainable(k: int, start: int) -> bool:
+        # can some uncoloured edge still take shifted colour k? It can when
+        # k is free at both ends and keeps each end's span below its degree
+        bit = 1 << k
         for j in range(start, m):
             u, v = edges[j]
-            if colour in used[u] or colour in used[v]:
+            a, b = mask[u], mask[v]
+            if (a | b) & bit:
                 continue
-            lu, hu = window(u)
-            if not lu <= colour <= hu:
-                continue
-            lv, hv = window(v)
-            if lv <= colour <= hv:
+            a |= bit
+            b |= bit
+            if (
+                a.bit_length() - (a & -a).bit_length() < deg[u]
+                and b.bit_length() - (b & -b).bit_length() < deg[v]
+            ):
                 return True
         return False
 
-    def assign(e: Edge, col: int) -> list[tuple[int, int | None, int | None]]:
-        trail = []
-        for x in e:
-            trail.append((x, vmin.get(x), vmax.get(x)))
-            used[x].add(col)
-            vmin[x] = col if x not in vmin else min(vmin[x], col)
-            vmax[x] = col if trail[-1][2] is None else max(vmax[x], col)
-        sol[e] = col
-        if cnt is not None and col in cnt:
-            cnt[col] += 1
-        return trail
-
-    def unassign(e: Edge, col: int, trail) -> None:
-        for x, mn, mx in trail:
-            used[x].discard(col)
-            if mn is None:
-                del vmin[x], vmax[x]
-            else:
-                vmin[x], vmax[x] = mn, mx
-        del sol[e]
-        if cnt is not None and col in cnt:
-            cnt[col] -= 1
-
-    # frame i: the colours left to try on edges[i], and the trail of the one
-    # it holds while later edges are searched
-    colours: list = [None] * m
-    trails: list = [None] * m
-    i, fresh = 0, True
+    # col[i] is the shifted colour frame i holds, or -1 on a fresh frame; a
+    # frame that is entered again takes its colour off and tries the next one
+    col = [-1] * m
+    i = 0
     while i >= 0:
         if i == m:
-            if cnt is None or (cnt[need_a] > 0 and cnt[need_b] > 0):
-                return dict(sol)
-            i, fresh = i - 1, False
+            if need is None or (cnt[need_a] and cnt[need_b]):
+                return {e: k + lo for e, k in zip(edges, col)}
+            i -= 1
             continue
-        e = edges[i]
-        u, v = e
-        if fresh:
-            lu, hu = window(u)
-            lv, hv = window(v)
-            lo_i, hi_i = max(lu, lv), min(hu, hv)
-            if i == 0:
-                if pin_first is not None:
-                    lo_i, hi_i = max(lo_i, pin_first), min(hi_i, pin_first)
-                if first_cap is not None:
-                    hi_i = min(hi_i, first_cap)
-            colours[i] = iter(range(lo_i, hi_i + 1))
-        else:
-            unassign(e, sol[e], trails[i])
-        for col in colours[i]:
-            if col in used[u] or col in used[v]:
-                continue
-            meter.tick()
-            trail = assign(e, col)
-            if cnt is None or (
-                (cnt[need_a] > 0 or attainable(need_a, i + 1))
-                and (cnt[need_b] > 0 or attainable(need_b, i + 1))
-            ):
-                trails[i] = trail
-                i, fresh = i + 1, True
+        u, v = edges[i]
+        k = col[i]
+        if k >= 0:
+            mask[u] ^= 1 << k
+            mask[v] ^= 1 << k
+            cnt[k] -= 1
+        # each end's colours stay within deg - 1 of those it already holds
+        a, b = mask[u], mask[v]
+        first = max(a.bit_length() - deg[u], b.bit_length() - deg[v], k + 1)
+        last = min(
+            top,
+            (a & -a).bit_length() + deg[u] - 2 if a else top,
+            (b & -b).bit_length() + deg[v] - 2 if b else top,
+        )
+        if i == 0:
+            if pin_first is not None:
+                first, last = max(first, pin_first - lo), min(last, pin_first - lo)
+            if first_cap is not None:
+                last = min(last, first_cap - lo)
+        busy = a | b
+        for k in range(first, last + 1):
+            if not busy >> k & 1:
                 break
-            unassign(e, col, trail)
         else:
-            i, fresh = i - 1, False
+            col[i] = -1
+            i -= 1
+            continue
+        meter.tick()
+        col[i] = k
+        mask[u] |= 1 << k
+        mask[v] |= 1 << k
+        cnt[k] += 1
+        if need is None or (
+            (cnt[need_a] or attainable(need_a, i + 1))
+            and (cnt[need_b] or attainable(need_b, i + 1))
+        ):
+            i += 1
     return None
 
 
@@ -244,14 +239,9 @@ def _colour_components(
     raises SearchBudgetExceeded instead.
     """
     found = []
-    for comp in g.components():
-        comp_set = set(comp)
-        edges = [e for e in g.edges if e[0] in comp_set]
-        if not edges:
-            continue
-        edges = _connected_edge_order(edges)
-        deg = {v: g.degree(v) for v in comp}
-        window = min(2 * len(comp), len(edges))
+    for edges in _connected_edge_order(g.edges):
+        deg = Counter(x for e in edges for x in e)
+        window = min(2 * len(deg), len(edges))
         w = window if cap is None else min(cap, window)
         sol = _search_component(edges, deg, lo=-(w - 1), hi=w - 1, meter=meter, pin_first=0)
         if sol is None:
@@ -303,7 +293,9 @@ def max_colours(
     offset = 0
     for edges, deg, window, best in found:
         best_t = len(set(best.values()))
-        cap = certified_colour_cap(induced_subgraph(g, list(deg))[0])
+        index = {v: j for j, v in enumerate(sorted(deg))}
+        relabelled = sorted((index[u], index[v]) for u, v in edges)
+        cap = certified_colour_cap(Graph._trusted(len(index), tuple(relabelled)))
         top = window if cap is None else min(window, cap)
         if best_t > top:
             raise RuntimeError(
@@ -372,7 +364,7 @@ def _thickness(g: Graph, k_max: int, meter: _Meter) -> ThicknessResult | None:
     def colouring_of(part: list[Edge]) -> EdgeColouring | None:
         key = frozenset(part)
         if key not in memo:
-            sub = Graph(g.vertex_count, tuple(part))
+            sub = Graph._trusted(g.vertex_count, tuple(part))
             found = _colour_components(sub, meter)
             memo[key] = None if found is None else EdgeColouring(
                 sub, {e: c for *_, sol in found for e, c in sol.items()}

@@ -305,6 +305,24 @@ class TestRegularDecomposition:
         with pytest.raises(ValueError):
             matching_decomposition(b)
 
+    def test_last_matching_is_what_remains(self, monkeypatch):
+        # 3-regular circulant on 5+5: two searches, then the leftover edges
+        calls = []
+        search = dec.hopcroft_karp
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(dec, "hopcroft_karp", counted)
+        left, right = tuple(range(5)), tuple(range(5, 10))
+        edges = tuple((u, 5 + (u + d) % 5) for u in range(5) for d in range(3))
+        matchings = matching_decomposition(BipartiteGraph(left, right, edges))
+        assert len(calls) == 2 and len(matchings) == 3
+        for m in matchings:
+            assert sorted(a for a, _ in m) == list(left) and sorted(y for _, y in m) == list(right)
+        assert sorted(e for m in matchings for e in m) == sorted(edges)
+
     def test_colouring_is_interval_with_k_colours(self):
         # 4-regular circulant on 7+7
         left, right = tuple(range(7)), tuple(range(7, 14))

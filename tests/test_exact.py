@@ -10,6 +10,7 @@ with Delta colours, but both graphs have chromatic index 5 > Delta = 4.
 had a certified cap, kept as a reference for its answers and witnesses.
 """
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -214,7 +215,7 @@ def upward_max_colours(g):
 
 def palette_feasible(g, t):
     """The call ``max_colours`` makes for palette t on a connected graph."""
-    edges = exact._connected_edge_order(list(g.edges))
+    [edges] = exact._connected_edge_order(g.edges)
     deg = {v: g.degree(v) for v in range(g.vertex_count)}
     meter = exact._Meter(SearchBudget(node_limit=None))
     sol = exact._search_component(
@@ -290,16 +291,74 @@ def naive_connected_edge_order(edges):
 
 
 def test_connected_edge_order_matches_naive_reference():
+    # whole graphs, labels and edges shuffled: one naive order per component
+    # with edges, components in order of smallest vertex
     rng = random.Random(8)
-    checked = 0
+    split = 0
     for _ in range(150):
-        n = rng.randint(1, 16)
-        g = Graph(n, random_graph(n, rng.choice((0.1, 0.2, 0.4, 0.7)), seed=rng.randrange(10**6)))
+        n = rng.randint(1, 20)
+        label = list(range(n))
+        rng.shuffle(label)
+        base = random_graph(n, rng.choice((0.08, 0.15, 0.3, 0.7)), seed=rng.randrange(10**6))
+        g = Graph(n, tuple((label[u], label[v]) for u, v in base))
+        want = []
         for comp in g.components():
             edges = [e for e in g.edges if e[0] in comp]
-            if not edges:
-                continue
-            rng.shuffle(edges)
-            assert exact._connected_edge_order(edges) == naive_connected_edge_order(edges), edges
-            checked += 1
-    assert checked >= 150, checked
+            if edges:
+                want.append(naive_connected_edge_order(edges))
+        edges = list(g.edges)
+        rng.shuffle(edges)
+        assert exact._connected_edge_order(edges) == want, edges
+        isolated = any(g.degree(v) == 0 for v in range(n))
+        split += len(want) > 1 and isolated
+    assert split >= 25, split
+
+
+# ---------------------------------------------------------------------------
+# frozen search results
+# ---------------------------------------------------------------------------
+
+PETERSEN = Graph(10, (
+    (0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (5, 7), (6, 8), (7, 9), (5, 8), (6, 9),
+    (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
+))
+
+
+def frozen_search_graphs():
+    """Seeded random graphs on at most 9 vertices, K5, Petersen, the family
+    up to s = 4 and one graph with isolated vertices and several components."""
+    rng = random.Random(10)
+    graphs = []
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        graphs.append(Graph(n, random_graph(n, rng.choice((0.2, 0.35, 0.6)), seed=rng.randrange(10**6))))
+    for _ in range(7):  # dense enough that some need two parts
+        n = rng.randint(5, 7)
+        graphs.append(Graph(n, random_graph(n, 0.7, seed=rng.randrange(10**6))))
+    graphs += [K5, PETERSEN]
+    for s in range(2, 5):
+        for odd in (False, True):
+            graphs.append(extremal_family(FamilySpec(s, odd=odd))[0])
+    graphs.append(extremal_family(FamilySpec(4, frozenset({1, 2})))[0])
+    # components {1, 4, 9}, {2, 12}, {3, 6, 7, 11, 13} and isolated 0, 5, 8, 10
+    graphs.append(Graph(14, (
+        (1, 4), (4, 9), (1, 9), (2, 12), (3, 6), (6, 7), (7, 11), (3, 11), (11, 13), (6, 13),
+    )))
+    return graphs
+
+
+def test_search_results_are_frozen():
+    # answers, witness colours, theta partitions and node counts; any change to
+    # the search order moves the digest
+    h = hashlib.sha256()
+    for g in frozen_search_graphs():
+        c = find_interval_colouring(g)
+        h.update(repr(None if c is None else sorted(c.colours.items())).encode())
+        res = max_colours(g)
+        h.update(repr(None if res is None else (res[0], sorted(res[1].colours.items()))).encode())
+        th = exact_thickness(g)
+        h.update(repr((
+            th.theta, th.nodes, sorted(th.partition.part_of.items()),
+            [sorted(col.colours.items()) for col in th.colourings],
+        )).encode())
+    assert h.hexdigest() == "eb9e3ad2f6ec3eacaa7c35bb87402bdbaa11bfc058a0d99185b1760753f00d8f"
