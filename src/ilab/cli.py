@@ -4,17 +4,18 @@ Exit codes: 0 = verified/found, 1 = negative result (not colourable, bound
 violated, partition survived, ...), 2 = usage or input error, 3 = search
 budget exhausted. Every subcommand accepts ``--manifest FILE`` to record a
 run manifest (inputs/outputs with SHA-256 digests, config echo, timing);
-``gen-lower`` alone takes ``--seed`` (default 0). Output files are
+``gen-lower`` alone takes ``--seed`` (default 0). This module decides what
+the stdout lines, reports and manifests say; :mod:`ilab.formats` writes
+every file, and sets out what each input file may contain. Output files are
 deterministic byte-for-byte for fixed inputs; colour files are normalised so
-the smallest colour is 0. What each input file may contain is set out in
-:mod:`ilab.formats`.
+the smallest colour is 0. An output file that cannot be written, the
+manifest included, is an input error (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 from dataclasses import asdict
@@ -40,6 +41,7 @@ from .formats import (
     serialize_colouring_text,
     serialize_graph_json,
     serialize_graph_text,
+    serialize_json,
     serialize_layered_json,
 )
 from .graphs import Graph
@@ -189,33 +191,20 @@ def _cmd_decompose(args, files: _Files) -> int:
     if args.report:
         parts_doc = []
         for index, part in enumerate(report.parts):
-            edges = [list(e) for e in part.colouring.graph.edges]
-            doc_entry = {
-                "index": index,
-                "layer_bit": part.layer_bit,
-                "edges": edges,
-                "colours": [part.colouring.colours[tuple(e)] for e in edges],
-            }
+            edges, colours = part.colouring.graph.edges, part.colouring.colours
+            entry = {"index": index, "layer_bit": part.layer_bit, "kind": "forest",
+                     "edges": [list(e) for e in edges], "colours": [colours[e] for e in edges]}
             if isinstance(part, FactorPart):
-                doc_entry["kind"] = "factor"
-                doc_entry["k"] = part.k
-                doc_entry["trace"] = [
-                    {
-                        "part_size": t.part_size,
-                        "density": t.density,
-                        "escape": t.escape,
-                    }
+                entry.update(kind="factor", k=part.k, trace=[
+                    {"part_size": t.part_size, "density": t.density, "escape": t.escape}
                     for t in part.trace
-                ]
-            else:
-                doc_entry["kind"] = "forest"
-            parts_doc.append(doc_entry)
+                ])
+            parts_doc.append(entry)
         doc = {
             "n": g.vertex_count,
             "m": g.edge_count,
             "delta": cfg.delta,
             "gamma": cfg.gamma,
-            "gamma_as_printed": cfg.gamma_as_printed,
             "part_count": report.part_count,
             "stuck_layers": sorted(set(report.stuck_layers)),
             "layers": [
@@ -228,7 +217,7 @@ def _cmd_decompose(args, files: _Files) -> int:
             ],
             "parts": parts_doc,
         }
-        files.write(args.report, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        files.write(args.report, serialize_json(doc))
     return 0 if all_ok else 1
 
 
@@ -303,7 +292,7 @@ def _cmd_probe(args, files: _Files) -> int:
             "witnesses": [asdict(w) for w in trace.witnesses],
             "overruns": [asdict(o) for o in trace.overruns],
         }
-        files.write(args.report, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        files.write(args.report, serialize_json(doc))
     if trace.witnesses:
         print("refuted: a spread witness certifies an uncolourable part")
         return 0
@@ -480,22 +469,20 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code = args.func(args, files)
+        if args.manifest:
+            manifest = {
+                "subcommand": args.command,
+                "argv": argv,
+                "inputs": files.inputs,
+                "outputs": files.outputs,
+                "config": files.config,
+                "exit_code": code,
+                "timing_seconds": round(time.perf_counter() - started, 6),
+            }
+            files.write(args.manifest, serialize_json(manifest))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.manifest:
-        manifest = {
-            "subcommand": args.command,
-            "argv": argv,
-            "inputs": files.inputs,
-            "outputs": files.outputs,
-            "config": files.config,
-            "exit_code": code,
-            "timing_seconds": round(time.perf_counter() - started, 6),
-        }
-        with open(args.manifest, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=1)
-            fh.write("\n")
     return code
 
 

@@ -76,11 +76,6 @@ class PipelineConfig:
         """Sparsity threshold exponent, 2/9 at delta = 1/4."""
         return 1.0 / (0.5 + 1.0 / self.delta)
 
-    @property
-    def gamma_as_printed(self) -> float:
-        """The (inconsistent) alternative 1/(1/2 + delta/2), reported alongside."""
-        return 1.0 / (0.5 + self.delta / 2.0)
-
     def k_for(self, density: float, part_size: int) -> int:
         return max(1, math.floor(density * part_size / 100.0))
 

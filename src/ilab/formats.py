@@ -9,12 +9,21 @@
 * Layered JSON (``gen-lower``): ``{"kind": "layered-bipartite", "r", "n",
   "delta", "epsilon", "seed", "a_layers": [[ids of A_1], ...],
   "edges": [[b, a, layer], ...]}``.
+* Reports (``decompose --report``, ``probe --report``) and run manifests
+  (``--manifest``) are written only; the CLI chooses their keys.
 
 Writing is deterministic byte for byte, edges in sorted ``(u, v)`` order
-with ``u < v`` (layered files: by layer, then endpoints). Reading follows
-these rules:
+with ``u < v`` (layered files: by layer, then endpoints). Every JSON file
+goes through :func:`serialize_json`: sorted keys, no whitespace, one final
+newline. Layered JSON alone keeps its one-space indent, because golden
+digests of ``gen-lower`` output pin those bytes. Reading follows these
+rules:
 
 * every malformed file raises :class:`FormatError` (CLI exit code 2);
+* a graph, colouring or layered file declares at most
+  :data:`~ilab.graphs.MAX_VERTICES` (2^18) vertices; a layered file counts
+  ``n`` plus the ids its parameters give the A sides, and its parameters may
+  not ask for more than 2^24 cells in the first layer's draw;
 * text errors cite the physical file line; blank lines are skipped but
   counted, and a negative edge count is rejected;
 * integer fields must be JSON integers, so floats, booleans and numeric
@@ -38,12 +47,17 @@ from itertools import chain
 from typing import Sequence
 
 from .colouring import EdgeColouring
-from .graphs import BipartiteGraph, Edge, Graph, canonical_edge
+from .graphs import MAX_VERTICES, BipartiteGraph, Edge, Graph, canonical_edge
 from .randlab import LayeredBipartite, LowerBoundParams
 
 
 class FormatError(ValueError):
     """A malformed input file; the message names the line or field at fault."""
+
+
+def serialize_json(doc) -> str:
+    """The one JSON layout ilab writes: sorted keys, compact, newline-terminated."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +150,8 @@ def _int_rows(doc: dict, key: str, width: int | None) -> list[list[int]]:
 
 
 def _graph(n: int, edges: Sequence[Sequence[int]]) -> Graph:
+    if n > MAX_VERTICES:
+        raise FormatError(f"{n} vertices exceed the cap of {MAX_VERTICES}")
     try:
         return Graph(n, tuple(edges))
     except ValueError as exc:
@@ -165,8 +181,7 @@ def parse_graph_json(text: str) -> Graph:
 
 
 def serialize_graph_json(g: Graph) -> str:
-    doc = {"n": g.vertex_count, "edges": [[u, v] for u, v in g.edges]}
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return serialize_json({"n": g.vertex_count, "edges": [[u, v] for u, v in g.edges]})
 
 
 def _colouring(n: int, edges: Sequence[Sequence[int]], colours: Sequence[int]) -> EdgeColouring:
@@ -193,12 +208,11 @@ def parse_colouring_json(text: str) -> EdgeColouring:
 
 def serialize_colouring_json(c: EdgeColouring) -> str:
     g = c.graph
-    doc = {
+    return serialize_json({
         "n": g.vertex_count,
         "edges": [[u, v] for u, v in g.edges],
         "colours": [c.colours[e] for e in g.edges],
-    }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +235,7 @@ def serialize_layered_json(lb: LayeredBipartite) -> str:
         "a_layers": [list(layer) for layer in lb.a_layers],
         "edges": sorted(edges, key=lambda e: (e[2], e[0], e[1])),
     }
+    # not serialize_json: the benchmark's golden digests pin these bytes
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 

@@ -19,6 +19,10 @@ from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
 
+# The most vertices an input file may declare (ilab.formats): decompose pads
+# ids to a power of two, and at 2^18 with all 18 layers in use it peaks at 224 MB
+MAX_VERTICES = 1 << 18
+
 
 def canonical_edge(u: int, v: int) -> Edge:
     """Return the (min, max) form of an edge, rejecting loops."""
@@ -83,13 +87,6 @@ class Graph:
         if self.vertex_count == 0:
             return 0
         return max(len(a) for a in self.adjacency)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self._edge_set
-
-    @cached_property
-    def _edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, in order of smallest vertex."""

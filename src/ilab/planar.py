@@ -122,12 +122,6 @@ class SplitResult:
     g2: Graph
     c2: EdgeColouring  # edges coloured > colour, plus `edge`
 
-    @property
-    def combined_colour_count(self) -> int:
-        from .colouring import count_colours
-
-        return count_colours(self.c1) + count_colours(self.c2)
-
 
 def unique_colour_split(c: EdgeColouring) -> SplitResult | None:
     """Split an interval colouring at a colour that appears on one edge only.

@@ -40,12 +40,15 @@ import numpy as np
 
 from .colouring import spread_cap
 from .graphs import (
+    MAX_VERTICES,
     BipartiteGraph,
     Edge,
     Graph,
     canonical_edge,
     diameter,
 )
+
+MAX_DRAW_CELLS = 1 << 24  # generate's |A_1| x n float64 draw: 128 MB
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,12 @@ class LowerBoundParams:
             raise ValueError(
                 f"edge probability eps*delta^-{self.r} = {worst:.3g} exceeds 1"
             )
+        # every layer has an A vertex, so the first MAX_VERTICES layers decide
+        layers = range(1, min(self.r, MAX_VERTICES) + 1)
+        if self.n + sum(map(self.layer_size, layers)) > MAX_VERTICES:
+            raise ValueError(f"n + |A_1| + ... + |A_r| exceeds the cap of {MAX_VERTICES} vertices")
+        if self.layer_size(1) * self.n > MAX_DRAW_CELLS:
+            raise ValueError(f"layer 1 draws |A_1| * n cells, above the cap of {MAX_DRAW_CELLS}")
 
     @classmethod
     def preset(cls, r: int, n: int = 1000, seed: int = 0) -> "LowerBoundParams":

@@ -189,10 +189,14 @@ class TestDecompose:
         assert [p["index"] for p in doc["parts"]] == list(range(doc["part_count"]))
 
     @pytest.mark.parametrize("n,p,seed,digest", [
-        (200, 0.7, 0, "2c2d3433ed82c72040dd758eac7d166c96635bbb3538378d3ad3314f69dfa8df"),
-        (100, 0.8, 1, "358be85e9e625a0fa4b014e8cf8b791652656e1c8273dbb289c706bc22bbbedb"),
-        (150, 0.9, 2, "f6e7ca9d51e13b29abef018ac701f7eca72afa075bc8229e4551c256f8e50181"),
-        (60, 0.9, 4, "ef797205dd32b2fcd0a4ac4baa9cc6e1b373a1e4e4ab775cabcd133e5bed2cba"),
+        pytest.param(200, 0.7, 0, "6d16e7a5eaba928949cbcac1142d52e594f75fee6da0c8ede40cf4d6d23fef6f",
+                     id="200-0.7-0"),
+        pytest.param(100, 0.8, 1, "5ead4ccd043b6ef8ad29c3650cb23a67de981e21acc33f8b4d6dd1386ba1817c",
+                     id="100-0.8-1"),
+        pytest.param(150, 0.9, 2, "e71cfd247b981e019312193db87418ec503c25fdc5fe288dec872add2f1b662b",
+                     id="150-0.9-2"),
+        pytest.param(60, 0.9, 4, "07b559c0a95e21127cb42d78818a77641113c0382f6a2f541a5e735bf31d49fa",
+                     id="60-0.9-4"),
     ])
     def test_report_bytes_are_frozen(self, capsys, monkeypatch, tmp_path, n, p, seed, digest):
         # padded G(n, p): some layers are dense enough for factors, k = 1
@@ -224,8 +228,10 @@ class TestDecompose:
         assert got == digest
 
     @pytest.mark.parametrize("n,degree,seed,digest", [
-        (3000, 6, 0, "4be105b0fb29a7094a47298f8281dafdde41551bda4c4d7ec6d23d9d601050a7"),
-        (2050, 4, 1, "c12e9e7567618a3ec060d23d9802b746dd3811491ee632b534e3be2f28e4edfc"),
+        pytest.param(3000, 6, 0, "42666b908a84766d47161238d18ccbf96bfcaa0ace2c3f3515d44f1970004207",
+                     id="3000-6-0"),
+        pytest.param(2050, 4, 1, "ec464fe737087cfd20c075a10120021ff66a6d9a5db59ff1fe2667c67220c6c3",
+                     id="2050-4-1"),
     ])
     def test_sparse_report_bytes_are_frozen(self, capsys, tmp_path, n, degree, seed, digest):
         # below every layer's density threshold, so every part is a first-fit
@@ -382,55 +388,55 @@ def probe_outcomes(doc, out):
 # n = None is the planted witness instance of tests/test_randlab.py
 FROZEN_PROBES = [
     (100, 0, "single-part", "1", {"repeat"},
-     "2e81e9ca76605f927666c1019ceff24cb2f478185399217a87364624b3b4799e"),
+     "e9f61c6139d6600f409535bcf5037f994edf989b8ad9058df465575210c0c4c2"),
     (100, 0, "single-part", "0.1", {"overrun", "repeat"},
-     "6af5add3a6977bee8913a1160cbd3c3320536dfb648f2810e6a848f406d7db03"),
+     "dace89d3b7ca87d77d8336b4256510014531fec0831c73a0402249edf3091f25"),
     (100, 0, "layers-as-parts", "1", {"survived"},
-     "979268aab686a866d795ee4b7a296c3bef62ad13a980bb41d3ca9391bf7ea02a"),
+     "cc9ece7e6049a59f431dadc374d1dce9116065ba190d7a799f337ced36d44db6"),
     (100, 0, "layers-as-parts", "0.1", {"survived"},
-     "439db47328ba2daa04d02ba1a25e4d9ffaa14f15d9f8f71825a7def434b3e1d8"),
+     "64834bfc660010d98c52755ecac90e189dddf92194ca2d0066daec67734024a7"),
     (100, 0, "random-4-parts", "1", set(),
-     "598c7cf462a695ef4c1cce4b3b57f0e2731d684787f2098202bb106dcaa7a0d4"),
+     "b91c81b52c6a5304547a7156151034247312f601fb994997d4839f4208201e98"),
     (100, 0, "random-4-parts", "0.1", set(),
-     "38b93c3ecf5d20da70a5c74db31f93f06cdbcda4a5961337910bfadc617f1833"),
+     "5fa802dcd32afd6b3d1e13f524c1615d75552c527338f2880c7242b1bbc8d567"),
     (100, 1, "single-part", "1", {"repeat"},
-     "0cbbdd896ee957744689c7d0f835ebb743688bda164d402b755bfbadb29d65d1"),
+     "0e32db839d6e0d45040eda46db3ceb4c490ec93d37c63468e38438392b87e8e9"),
     (100, 1, "single-part", "0.1", {"overrun", "repeat"},
-     "78fd5320dd4995f1a981091aef80d79486b2a2114ec5998babeb7a4c0cf0e069"),
+     "a7b9aa895cb429e9df7eade5ec80c081b3ec563829a88dcc3c0080e8d6140827"),
     (100, 1, "layers-as-parts", "1", {"survived"},
-     "81c4fc72dd7c91a29273616057eef29d9281ddc1d576f2396648e5ffc715e6b8"),
+     "c5962309e0d11428b6858446beca67f1e7086d57306ac408c520f6aece0ec863"),
     (100, 1, "layers-as-parts", "0.1", {"survived"},
-     "63f007399e1e6a5740482f99db1c5e754c6a7276e31acbf9a105fbab98c98ee6"),
+     "a09619f60389490caf8a83930c72625f06da2b5b128a28c4fe5342c919e74dd5"),
     (100, 1, "random-4-parts", "1", {"repeat"},
-     "f42a705df9c790ac576566dce55602e5cae8d0c9a5025a3f9cb8cb08c7613f09"),
+     "b433fa914124da098b0a262ff00b3c6418cef6d3c4d9a40b0dc4a79e3d468545"),
     (100, 1, "random-4-parts", "0.1", {"repeat"},
-     "9ef7e56c9a034c0353fba081344dc541c559e2fe17fb6e180bd07747903a70e1"),
+     "04b3de5b89df7454378acf9c550831a875c6518ad96f28b59e535091285a0058"),
     (300, 0, "single-part", "1", {"repeat"},
-     "1f633fa27fc44c868c890df17acf6fe0dd4102ef2ebb5ba6257f85b555fcbd75"),
+     "ef98ce298c3dcfe273c1fee27214a9a1fed61acfcea75d2088659ec755c10210"),
     (300, 0, "single-part", "0.1", {"overrun", "repeat"},
-     "1c49a0b6c7173a24ad6df77f9c416b14f16b03fd65569430d754ee42df2af43d"),
+     "b6a007356f1cf0c63f3df96bd0882d70d0554d843f9e06766b762d6b94f5bceb"),
     (300, 0, "layers-as-parts", "1", {"survived"},
-     "fd81228e5e84764f94ecf3cabd1c71378a49f2ce2f6b4dfe1d70f92394a0e0b6"),
+     "5524102d21d7113f8e2bfb976b9404320f346ad6b87bae96c4ab72e3f163e5b4"),
     (300, 0, "layers-as-parts", "0.1", {"survived"},
-     "0e54dc1b6129ce3d630114455155d79e0c5062a01126059d132ff6c77b0a9d2b"),
+     "cc28f8ceed512a67fa952dd9841bbe5a32bb4b160c4645736d8892975b5dfec0"),
     (300, 0, "random-4-parts", "1", {"repeat"},
-     "7576758f477675ad7ee3ba2dff00f9a7cf396b2ff971f5a88451779696b3803b"),
+     "ce159087478023508bbe37cb92252c6ccd6afa16c481cc04317d196916b68266"),
     (300, 0, "random-4-parts", "0.1", {"repeat"},
-     "a1738614e4a1f1bd3245b718383f4de7a490da60d0c79627880ef5867ac3c82d"),
+     "f99cb1fd2be48f4fa3c971672f59feb452581009c3de5f94800610f6b2e762bb"),
     (300, 1, "single-part", "1", {"repeat"},
-     "d4f5517640aef9e303e12a4b8fb611e1ea2b7dab0861ef781ab1675e7f9e47fb"),
+     "af52e2e9eb938c7e663899709af5928d7842b08d0cc9d0bfc42206b040358329"),
     (300, 1, "single-part", "0.1", {"overrun", "repeat"},
-     "55c1b4830660d9aaf6f70aa591bc131f499d55af37f9d383a0d7272b287dc5de"),
+     "24679719461c8dff4071ed3c7c70b3477e018f68d70921ab69375765295594f6"),
     (300, 1, "layers-as-parts", "1", {"survived"},
-     "4198d9c4f7d36832a9a1f47982d622fe60453dee09b70a0b32c692e2d5d09e83"),
+     "8a90e0986b9df5b2ac6b83e9b3f4c6783163fb77539cbb4ecfffebf8b8bc7c3e"),
     (300, 1, "layers-as-parts", "0.1", {"survived"},
-     "f56115772d6acc8ea288299a82c96d02ee0b6b2b08165ff61212d7fe2b6fbf17"),
+     "2286855b1e9adc308356727efcad01988f4a7dbe10d65a6a92eca20fe5b6d75f"),
     (300, 1, "random-4-parts", "1", {"survived"},
-     "3cea83875721cca3a7dedf53aa2b92d5c9119cd051c31f0b2212e3d6eb1a8690"),
+     "4a318aafc0997406ce938ae53217f0348a01ab1d06f43f07cb76b18a1f92b4ac"),
     (300, 1, "random-4-parts", "0.1", {"survived"},
-     "0eb1fdb949255fb95e8521ad8e288bc1569ac57a34d1be3fb92276e6461a96ff"),
+     "dbbccf39798c962fbdc0a6730c8f68cd9e9954b391295ddeadcb089de660d14c"),
     (None, 0, "single-part", "1", {"witness"},
-     "e5a7b912c8c6f630bb3a8a6d0f63737c8d70878b12c0252226a9ae032ced969f"),
+     "23f2fcee64fa5b1a463391fde2d93a93cc7cd74d3574cab4b4d42e2d702dab5c"),
 ]
 
 
@@ -547,11 +553,51 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err.startswith("error: A_") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("name", ["g.txt", "g.json", "lb.json"])
+    def test_vertex_count_above_the_cap(self, capsys, tmp_path, name):
+        # a header n of 10^11 made bit_split grow tuple(range(2^37)) until
+        # memory ran out, and a layered n builds its ground as tuple(range(n));
+        # the smallest refused count keeps a regression here cheap
+        big = 2**18 + 1
+        if name == "g.txt":
+            text = f"{big} 1\n0 1\n"
+        elif name == "g.json":
+            text = json.dumps({"n": big, "edges": [[0, 1]]})
+        else:  # the fuzz gate's layered graph, its A ids moved up to big
+            doc = json.loads(FUZZ_FILES["lb.json"])
+            shift = big - doc["n"]
+            doc["n"] = big
+            doc["a_layers"] = [[a + shift for a in layer] for layer in doc["a_layers"]]
+            doc["edges"] = [[b, a + shift, i] for b, a, i in doc["edges"]]
+            text = json.dumps(doc)
+        (tmp_path / name).write_text(text)
+        (tmp_path / "parts.json").write_text(FUZZ_FILES["parts.json"])
+        if name == "lb.json":
+            argv = ["probe", tmp_path / name, tmp_path / "parts.json"]
+        else:
+            argv = ["decompose", tmp_path / name]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "cap of 262144" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n,cap", [
+        pytest.param("10000000", "cap of 262144 vertices", id="vertices"),
+        pytest.param("8192", "cap of 16777216", id="draw"),
+    ])
+    def test_gen_lower_size_caps(self, capsys, tmp_path, n, cap):
+        # n = 10^7 asked numpy for a 5*10^6 x 10^7 array (364 TiB); n = 2^13
+        # fits the vertex cap, but layer 1 would draw 2^12 x 2^13 = 2^25 cells
+        # (a small epsilon keeps a regression here to a few thousand edges)
+        out = tmp_path / "lb.json"
+        code, stdout, err = run(capsys, "gen-lower", "--r", "1", "--n", n, "--delta", "0.5",
+                                "--epsilon", "0.0001", "-o", out)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.startswith("error:") and cap in err and err.count("\n") == 1
+
 
 # Small valid inputs for the fuzz gate: the s=3 extremal family (6 vertices)
-# with its interval colouring, and a 12 + 4 vertex layered graph with a
-# layers-as-parts partition. Header counts stay small under mutation, since
-# bit_split allocates 2^ceil(log2 n) ids for a header n.
+# with its interval colouring, and a 12 + 5 vertex layered graph with a
+# layers-as-parts partition.
 _FAMILY, _FAMILY_COLOURING = extremal_family(FamilySpec(s=3, removed_curved=frozenset({1})))
 _LAYERED = generate(LowerBoundParams(r=2, n=12, delta=0.3, epsilon=0.05, seed=1))
 _PARTITION = sorted(
@@ -580,7 +626,8 @@ FUZZ_COMMANDS = [
     ["probe", "lb.json", "parts.json", "--budget-scale", "0.1"],
 ]
 # whole tokens only, each spliced in with spaces so that no number can grow
-FUZZ_TOKENS = ["-1", "1.5", "x", "true", "null", '"2"', "[]", "{}"]
+# past these; 10^11 as a header n is refused by the vertex cap
+FUZZ_TOKENS = ["-1", "1.5", "x", "true", "null", '"2"', "[]", "{}", "100000000000"]
 
 
 @st.composite
@@ -729,6 +776,13 @@ class TestHarness:
         assert doc["inputs"][g] == hashlib.sha256(PATH.encode()).hexdigest()
         assert "seed" not in doc and "threads" not in doc
 
+    def test_unwritable_manifest_exits_2(self, capsys, files, tmp_path):
+        # the answer is printed before the manifest is written
+        g = files("p.txt", PATH)
+        code, out, err = run(capsys, "solve", g, "--manifest", tmp_path / "missing" / "m.json")
+        assert code == 2 and out == "interval colouring with 2 colours\n"
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_module_entry_point(self, tmp_path):
         g = tmp_path / "t.txt"
         g.write_text(TRIANGLE)
@@ -742,3 +796,30 @@ class TestHarness:
         )
         assert proc.returncode == 0
         assert proc.stdout == "interval thickness: 2\n"
+
+
+def test_written_json_is_compact(capsys, tmp_path):
+    """Every JSON file ilab writes has one layout, except gen-lower's."""
+    g = tmp_path / "g.txt"
+    g.write_text(K4)
+    lb, parts = tmp_path / "lb.json", tmp_path / "parts.json"
+    parts.write_text(FUZZ_FILES["parts.json"])
+    for argv in [
+        ["decompose", g, "--report", tmp_path / "decompose.json"],
+        ["solve", g, "--mode", "tmax", "-o", tmp_path / "c.json",
+         "--manifest", tmp_path / "m.json"],
+        ["gen-planar", "--s", "3", "-o", tmp_path / "g.json"],
+        ["gen-lower", "--r", "2", "--n", "12", "--delta", "0.3", "--epsilon", "0.05", "--seed", "1",
+         "-o", lb],
+        ["probe", lb, parts, "--report", tmp_path / "probe.json"],
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1) and err == ""
+    for name in ("decompose.json", "probe.json", "m.json", "c.json", "g.json"):
+        b = (tmp_path / name).read_bytes()
+        compact = json.dumps(json.loads(b), sort_keys=True, separators=(",", ":")) + "\n"
+        assert b == compact.encode(), name
+    # layered JSON keeps its indented bytes, which benchmark digests pin
+    assert lb.read_text() == FUZZ_FILES["lb.json"]
+    digest = "a38fd9a445fd5fbab7f9c8eb7383318d64a312c2be07a2911a3f9ba9ba46adf2"
+    assert hashlib.sha256(lb.read_bytes()).hexdigest() == digest

@@ -40,7 +40,6 @@ def test_adjacency_and_degrees():
     assert g.adjacency[0] == (1, 2)
     assert g.degree(0) == 2 and g.degree(3) == 1
     assert g.max_degree == 2
-    assert g.has_edge(2, 0) and not g.has_edge(1, 3)
 
 
 def test_components_and_connectivity():

@@ -108,7 +108,7 @@ class TestSplit:
         for s in (3, 4, 5, 6):
             _, c = extremal_family(FamilySpec(s, frozenset(range(1, s - 1))))
             r = unique_colour_split(c)
-            assert r.combined_colour_count == count_colours(c) + 1
+            assert count_colours(r.c1) + count_colours(r.c2) == count_colours(c) + 1
 
     def test_recombination_bound_via_exact_search(self):
         # t(G1) + t(G2) >= t(G) + 1: the halves can always do at least as
