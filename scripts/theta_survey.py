@@ -2,9 +2,10 @@
 
 Two experiments in one:
 
-  * exhaustive: every connected isomorphism class on n <= --max-n vertices,
-    tabulating how many are interval colourable, the largest t seen against
-    the (3/2)n - 2 bound, and the worst thickness;
+  * exhaustive: every connected isomorphism class on n <= --max-n <= 7
+    vertices, taken from networkx's graph atlas, tabulating how many are
+    interval colourable, the largest t seen against the (3/2)n - 2 bound, and
+    the worst thickness;
   * pipeline: decompose_theta part counts on random graphs as n grows, next
     to the ceil(log2 n) layer bound (the constructive upper-bound route).
 
@@ -12,49 +13,25 @@ Usage: python scripts/theta_survey.py [--max-n 5] [--pipeline-sizes 32,64,128]
 """
 
 import argparse
-import itertools
 import random
 import sys
-from collections import defaultdict
 
 from ilab import Graph, decompose_theta, exact_thickness, max_colours, verify
 
-
-def connected_classes(n):
-    pairs = list(itertools.combinations(range(n), 2))
-    seen = {}
-    for bits in range(1 << len(pairs)):
-        edges = tuple(p for k, p in enumerate(pairs) if bits >> k & 1)
-        adj = defaultdict(set)
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        stack, comp = [0], {0}
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        if len(comp) != n:
-            continue
-        key = min(
-            tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges))
-            for p in itertools.permutations(range(n))
-        )
-        seen.setdefault(key, edges)
-    return sorted(seen.values())
+MAX_ATLAS_N = 7  # networkx.graph_atlas_g() lists every graph on 0..7 vertices
 
 
-def survey_exact(max_n):
+def survey_exact(max_n, nx):
     print(f"{'n':>2} {'classes':>8} {'colourable':>10} {'max t':>6} "
           f"{'bound':>6} {'worst theta':>11}")
+    atlas = nx.graph_atlas_g()
     for n in range(2, max_n + 1):
-        classes = connected_classes(n)
+        classes = [a for a in atlas if a.number_of_nodes() == n and nx.is_connected(a)]
         colourable = 0
         best_t = 0
         worst_theta = 0
-        for edges in classes:
-            g = Graph(n, edges)
+        for a in classes:
+            g = Graph(n, sorted(tuple(sorted(e)) for e in a.edges()))
             result = max_colours(g)
             if result is not None:
                 colourable += 1
@@ -95,7 +72,17 @@ def main(argv=None):
     ap.add_argument("--density", type=float, default=0.3)
     ap.add_argument("--seeds", type=int, default=3)
     args = ap.parse_args(argv)
-    survey_exact(args.max_n)
+    if args.max_n > MAX_ATLAS_N:
+        print(f"error: --max-n is at most {MAX_ATLAS_N}, the largest order in "
+              "the networkx graph atlas", file=sys.stderr)
+        return 2
+    try:
+        import networkx as nx
+    except ImportError:
+        print("error: the exhaustive survey reads networkx's graph atlas; "
+              "install networkx", file=sys.stderr)
+        return 2
+    survey_exact(args.max_n, nx)
     sizes = [int(s) for s in args.pipeline_sizes.split(",") if s]
     survey_pipeline(sizes, args.density, args.seeds)
     return 0

@@ -25,6 +25,30 @@ thickness) are explicit-stack loops, so no edge count hits a recursion limit.
 Only ``find_interval_colouring`` may narrow the window (its ``max_colours``
 cap); exhausting a narrowed window raises SearchBudgetExceeded, never None.
 
+Two refutations cost less than the search above.
+
+Overfull components have no colouring (Asratian & Kamalian, J. Combin.
+Theory B 62, 1994). Let a component have n vertices, m edges and maximum
+degree D, and take any interval colouring of it. The colours at a vertex v
+are deg(v) <= D consecutive integers, so their residues mod D are distinct.
+Hence each residue class is a matching, and a matching has at most
+floor(n / 2) edges, so m <= D * floor(n / 2). ``_colour_components`` returns
+None, at 0 nodes, when some component has more edges than that, before it
+searches any. The argument does not depend on the window, so this "none" is
+sound under a ``max_colours`` cap too.
+
+The pinned search explores one mirror half. The window ``[-(w-1), w-1]``,
+the pin of edge 0 to colour 0 and every per-vertex window constraint are
+invariant under c -> -c, so c is a colouring exactly when -c is. Edge 1 of
+the connected order shares a vertex with edge 0, so its colour is never 0.
+The DFS tries colours in ascending order, so it meets every colouring with
+c(edge 1) < 0 before any with c(edge 1) > 0, and the subtree under a
+positive colour c is the mirror image of the one under -c. Capping edge 1
+below the pin therefore keeps the first colouring found and the nodes spent
+reaching it, and a refutation visits 1 + (N - 1) / 2 of the N nodes the
+whole window would. The ``max_colours`` palettes [0, t-1] use their own
+break (edge 0 at most (t-1)/2) and are not halved again.
+
 The function ``max_colours`` tries each component's palettes t downward from
 ``min(W, cap)`` and stops at the first t that has a colouring using all of
 ``0..t-1``. ``cap`` is ``planar.certified_colour_cap``, floor((3n - 4) / 2)
@@ -147,11 +171,14 @@ def _search_component(
 ) -> dict[Edge, int] | None:
     """DFS over one connected edge list with per-vertex window constraints.
 
-    ``pin_first`` fixes the first edge's colour; ``first_cap`` upper-bounds it
-    (reflection symmetry break); ``need`` demands both listed colours, which
-    lie in ``lo..hi``, appear in a completed assignment. Colour ``c`` is
-    searched as ``c - lo``; each vertex's colours are one bitmask with bit
-    ``c - lo`` set, and the solution dict is built once, on success.
+    ``pin_first`` fixes the first edge's colour and must sit at the centre of
+    ``lo..hi``; the second edge then takes only colours below it (the mirror
+    half, see the module docstring). ``first_cap`` upper-bounds the first
+    edge's colour (reflection symmetry break); ``need`` demands both listed
+    colours, which lie in ``lo..hi``, appear in a completed assignment.
+    Colour ``c`` is searched as ``c - lo``; each vertex's colours are one
+    bitmask with bit ``c - lo`` set, and the solution dict is built once, on
+    success.
     """
     m = len(edges)
     top = hi - lo
@@ -206,6 +233,8 @@ def _search_component(
                 first, last = max(first, pin_first - lo), min(last, pin_first - lo)
             if first_cap is not None:
                 last = min(last, first_cap - lo)
+        elif i == 1 and pin_first is not None:  # the mirror half
+            last = min(last, pin_first - lo - 1)
         busy = a | b
         for k in range(first, last + 1):
             if not busy >> k & 1:
@@ -235,12 +264,17 @@ def _colour_components(
     Per component with edges: its connected edge order, degree table, sound
     window ``W`` and a colouring pinned to 0 on the first edge within
     ``[-(w-1), w-1]``, ``w = min(W, cap)``. None means some component has no
-    interval colouring; exhausting a narrowed window proves nothing, so it
-    raises SearchBudgetExceeded instead.
+    interval colouring: one is overfull, whatever ``cap`` is (checked for
+    every component before any is searched), or a search exhausted the sound
+    window. Exhausting a narrowed window proves nothing, so it raises
+    SearchBudgetExceeded instead.
     """
+    components = [(edges, Counter(x for e in edges for x in e))
+                  for edges in _connected_edge_order(g.edges)]
+    if any(len(edges) > max(deg.values()) * (len(deg) // 2) for edges, deg in components):
+        return None  # overfull
     found = []
-    for edges in _connected_edge_order(g.edges):
-        deg = Counter(x for e in edges for x in e)
+    for edges, deg in components:
         window = min(2 * len(deg), len(edges))
         w = window if cap is None else min(cap, window)
         sol = _search_component(edges, deg, lo=-(w - 1), hi=w - 1, meter=meter, pin_first=0)
@@ -261,9 +295,11 @@ def find_interval_colouring(
     """An interval colouring of ``g``, or None if there is none.
 
     ``max_colours`` caps the distinct colours per component; it must be at
-    least the max degree. None is only returned after an exhaustive search of
-    every component's sound window; exhausting a window the cap narrowed, or
-    a budget limit that bites first, raises SearchBudgetExceeded.
+    least the max degree. None is returned for a graph with an overfull
+    component (more edges than max degree times half its vertex count,
+    rounded down), whatever the cap, and otherwise only after an exhaustive
+    search of a component's sound window; exhausting a window the cap
+    narrowed, or a budget limit that bites first, raises SearchBudgetExceeded.
     """
     if max_colours is not None and max_colours < g.max_degree:
         raise ValueError(f"max_colours={max_colours} below max degree {g.max_degree}")

@@ -33,7 +33,6 @@ from ilab.randlab import LowerBoundParams, generate
 TRIANGLE = "3 3\n0 1\n0 2\n1 2\n"
 K4 = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 C4 = "4 4\n0 1\n0 3\n1 2\n2 3\n"
-C5 = "5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n"
 PETERSEN = (
     "10 15\n0 1\n1 2\n2 3\n3 4\n0 4\n5 7\n6 8\n7 9\n5 8\n6 9\n"
     "0 5\n1 6\n2 7\n3 8\n4 9\n"
@@ -121,7 +120,9 @@ class TestSolve:
         assert out.startswith("not interval colourable within the palette")
 
     def test_budget_exhaustion(self, capsys, files):
-        code, out, _ = run(capsys, "solve", files("c5.txt", C5), "--max-colours", "3")
+        # Petersen is not overfull, so refuting it needs its whole window
+        g = files("petersen.txt", PETERSEN)
+        code, out, _ = run(capsys, "solve", g, "--max-colours", "3")
         assert code == 3 and out.startswith("budget exhausted")
 
     @pytest.mark.parametrize("mode", ["tmax", "theta"])
@@ -138,7 +139,7 @@ class TestSolve:
         assert err.startswith("error: time_limit must be positive") and err.count("\n") == 1
 
     def test_time_limit_exhaustion(self, capsys, files):
-        # refuting the Petersen graph takes 4761 nodes; the clock is read every 1024
+        # refuting the Petersen graph takes 2381 nodes; the clock is read every 1024
         g = files("petersen.txt", PETERSEN)
         code, out, _ = run(capsys, "solve", g, "--time-limit", "1e-9")
         assert code == 3 and out == "budget exhausted: time limit exceeded\n"

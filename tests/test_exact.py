@@ -41,6 +41,11 @@ K5 = Graph(5, tuple((i, j) for i in range(5) for j in range(i + 1, 5)))
 K5_MINUS = Graph(5, K5.edges[1:])
 C4 = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
 C5 = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+K7 = Graph(7, tuple(itertools.combinations(range(7), 2)))
+PETERSEN = Graph(10, (
+    (0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (5, 7), (6, 8), (7, 9), (5, 8), (6, 9),
+    (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
+))
 
 
 def test_search_agrees_with_start_tuple_oracle_up_to_5_vertices():
@@ -110,9 +115,37 @@ def test_disconnected_components_translate_apart():
 
 
 def test_explicit_budget_below_sound_window_raises_not_none():
-    # C5 has no colouring; proving "none" needs the full palette window
+    # Petersen has no colouring but is not overfull (15 = 3 * (10 // 2)), so
+    # proving "none" needs the full palette window
     with pytest.raises(SearchBudgetExceeded):
-        find_interval_colouring(C5, max_colours=3)
+        find_interval_colouring(PETERSEN, max_colours=3)
+
+
+def test_overfull_component_is_refuted_without_search():
+    # K7 has 21 > 6 * (7 // 2) edges; the search would take 9.64M nodes
+    assert find_interval_colouring(K7, budget=SearchBudget(node_limit=1)) is None
+    assert find_interval_colouring(C5, max_colours=3) is None
+    # Petersen comes first and cannot be refuted under a cap of 6; the
+    # overfull K7 after it settles the answer before either is searched
+    shifted = tuple((u + 10, v + 10) for u, v in K7.edges)
+    assert find_interval_colouring(Graph(17, PETERSEN.edges + shifted), max_colours=6) is None
+    meter = exact._Meter(SearchBudget())
+    assert exact._colour_components(K7, meter) is None and meter.nodes == 0
+
+
+def test_refutation_searches_one_mirror_half():
+    # the whole window takes 4761 nodes: 1 for edge 0, then 4760 split evenly
+    # between edge 1 below and above the pin; only the half below is searched,
+    # so 1 + 4760 / 2
+    meter = exact._Meter(SearchBudget())
+    assert exact._colour_components(PETERSEN, meter) is None
+    assert meter.nodes == 1 + 4760 // 2
+
+
+def test_theta_of_k7_fits_the_default_budget():
+    res = exact_thickness(K7)
+    assert res.theta == 2
+    assert all(verify(c).interval for c in res.colourings)
 
 
 def test_palette_below_max_degree_is_a_value_error():
@@ -161,10 +194,10 @@ class TestPeel:
             assert all(b >= a - 1 for a, b in zip(thetas, thetas[1:])), (seed, trace)
 
     def test_budget_covers_the_whole_peel(self):
-        # theta(K5) alone takes 1455 nodes, the four searches 1484 together
-        assert exact_thickness(K5, k_max=5, budget=SearchBudget(node_limit=1460))
+        # theta(K5) alone takes 72 nodes, the four searches 98 together
+        assert exact_thickness(K5, k_max=5, budget=SearchBudget(node_limit=80))
         with pytest.raises(SearchBudgetExceeded):
-            peel_sequence(K5, SearchBudget(node_limit=1460))
+            peel_sequence(K5, SearchBudget(node_limit=80))
 
 
 def test_counting_property_when_no_interior_colour_is_unique():
@@ -318,11 +351,6 @@ def test_connected_edge_order_matches_naive_reference():
 # frozen search results
 # ---------------------------------------------------------------------------
 
-PETERSEN = Graph(10, (
-    (0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (5, 7), (6, 8), (7, 9), (5, 8), (6, 9),
-    (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
-))
-
 
 def frozen_search_graphs():
     """Seeded random graphs on at most 9 vertices, K5, Petersen, the family
@@ -347,18 +375,29 @@ def frozen_search_graphs():
     return graphs
 
 
-def test_search_results_are_frozen():
-    # answers, witness colours, theta partitions and node counts; any change to
-    # the search order moves the digest
+@pytest.fixture(scope="module")
+def frozen_results():
+    return [
+        (find_interval_colouring(g), max_colours(g), exact_thickness(g))
+        for g in frozen_search_graphs()
+    ]
+
+
+def test_search_results_are_frozen(frozen_results):
+    # answers, witness colours, theta partitions and part colourings; any
+    # change to the order in which colourings are found moves the digest
     h = hashlib.sha256()
-    for g in frozen_search_graphs():
-        c = find_interval_colouring(g)
+    for c, res, th in frozen_results:
         h.update(repr(None if c is None else sorted(c.colours.items())).encode())
-        res = max_colours(g)
         h.update(repr(None if res is None else (res[0], sorted(res[1].colours.items()))).encode())
-        th = exact_thickness(g)
         h.update(repr((
-            th.theta, th.nodes, sorted(th.partition.part_of.items()),
+            th.theta, sorted(th.partition.part_of.items()),
             [sorted(col.colours.items()) for col in th.colourings],
         )).encode())
-    assert h.hexdigest() == "eb9e3ad2f6ec3eacaa7c35bb87402bdbaa11bfc058a0d99185b1760753f00d8f"
+    assert h.hexdigest() == "644c65eb629a1b68b21f56704dfce2fb296257f8629139a5b2b45b53138bba4e"
+
+
+def test_search_node_counts_are_frozen(frozen_results):
+    # theta's node counts: any change to how much the search visits moves them
+    nodes = [th.nodes for *_, th in frozen_results]
+    assert hashlib.sha256(repr(nodes).encode()).hexdigest() == "3d68f2710c2325d04a8ee234cd3699a0fa98a383ed75d60302c0bb00a7b20596"
