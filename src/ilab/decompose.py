@@ -506,6 +506,9 @@ def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> Decompositio
 # escape-dichotomy objective
 # ---------------------------------------------------------------------------
 
+MIN_GRID_STEP = 1e-4  # at most 10,000 steps per axis; time grows as 1/step^2
+
+
 @dataclass
 class ObjectiveReport:
     delta: float
@@ -529,8 +532,8 @@ def objective_check(delta: float, grid_step: float = 0.01) -> ObjectiveReport:
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if not 0 < grid_step <= 0.5:
-        raise ValueError("grid_step must lie in (0, 0.5]")
+    if not MIN_GRID_STEP <= grid_step <= 0.5:
+        raise ValueError(f"grid_step must lie in [{MIN_GRID_STEP}, 0.5], got {grid_step}")
     steps = int(round(1.0 / grid_step))
     xs = np.linspace(0.0, 1.0, steps + 1)
     best = -np.inf

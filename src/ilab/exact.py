@@ -37,17 +37,23 @@ None, at 0 nodes, when some component has more edges than that, before it
 searches any. The argument does not depend on the window, so this "none" is
 sound under a ``max_colours`` cap too.
 
-The pinned search explores one mirror half. The window ``[-(w-1), w-1]``,
-the pin of edge 0 to colour 0 and every per-vertex window constraint are
-invariant under c -> -c, so c is a colouring exactly when -c is. Edge 1 of
-the connected order shares a vertex with edge 0, so its colour is never 0.
-The DFS tries colours in ascending order, so it meets every colouring with
-c(edge 1) < 0 before any with c(edge 1) > 0, and the subtree under a
-positive colour c is the mirror image of the one under -c. Capping edge 1
-below the pin therefore keeps the first colouring found and the nodes spent
-reaching it, and a refutation visits 1 + (N - 1) / 2 of the N nodes the
-whole window would. The ``max_colours`` palettes [0, t-1] use their own
-break (edge 0 at most (t-1)/2) and are not halved again.
+Both searches explore one mirror half. Reflect a colour c of the window
+``lo..hi`` to lo + hi - c. The window, every per-vertex window constraint,
+the colourable search's pin of edge 0 to the centre and a ``max_colours``
+palette's need for both lo and hi are all invariant under it, so an
+assignment is a solution exactly when its reflection is. Some solution, if
+any exists, therefore has edge 0 at or below the centre, and one with edge 0
+on the centre has edge 1 below it: edge 1 of the connected order shares a
+vertex with edge 0, so it is never on the centre while edge 0 is, and
+reflecting moves it below. The search caps edge 0 at the centre and, while
+edge 0 sits on the centre, edge 1 below it. Colours are tried in ascending
+order, so every assignment the caps cut off comes after every one they keep;
+the first colouring found and the nodes spent reaching it are those of the
+whole window. Under the pin, the subtree under edge 1 at centre + d mirrors
+the one at centre - d, so a refutation visits 1 + (N - 1) / 2 of the N nodes
+the whole window would. A palette [0, t-1] with t odd halves its subtree
+with edge 0 on the centre the same way; with t even no colour is the centre,
+and the cap on edge 0 alone halves the search.
 
 The function ``max_colours`` tries each component's palettes t downward from
 ``min(W, cap)`` and stops at the first t that has a colouring using all of
@@ -165,38 +171,29 @@ def _search_component(
     lo: int,
     hi: int,
     meter: _Meter,
-    pin_first: int | None = None,
-    first_cap: int | None = None,
-    need: tuple[int, int] | None = None,
+    palette: bool = False,
 ) -> dict[Edge, int] | None:
     """DFS over one connected edge list with per-vertex window constraints.
 
-    ``pin_first`` fixes the first edge's colour and must sit at the centre of
-    ``lo..hi``; the second edge then takes only colours below it (the mirror
-    half, see the module docstring). ``first_cap`` upper-bounds the first
-    edge's colour (reflection symmetry break); ``need`` demands both listed
-    colours, which lie in ``lo..hi``, appear in a completed assignment.
-    Colour ``c`` is searched as ``c - lo``; each vertex's colours are one
-    bitmask with bit ``c - lo`` set, and the solution dict is built once, on
-    success.
+    Without ``palette`` the first edge is pinned to the centre of ``lo..hi``;
+    with it, a completed assignment must use both ``lo`` and ``hi``. Either
+    way only one mirror half is searched (see the module docstring). Colour
+    ``c`` is searched as ``c - lo``; each vertex's colours are one bitmask
+    with bit ``c - lo`` set, and the solution dict is built once, on success.
     """
     m = len(edges)
     top = hi - lo
+    mid = top // 2
     mask = {v: 0 for e in edges for v in e}
     cnt = [0] * (top + 1)  # edges holding each shifted colour
-    need_a, need_b = (None, None) if need is None else (need[0] - lo, need[1] - lo)
 
     def attainable(k: int, start: int) -> bool:
-        # can some uncoloured edge still take shifted colour k? It can when
-        # k is free at both ends and keeps each end's span below its degree
+        # can some uncoloured edge still take shifted colour k, which no edge
+        # holds yet? It can when k keeps each end's span below its degree
         bit = 1 << k
         for j in range(start, m):
             u, v = edges[j]
-            a, b = mask[u], mask[v]
-            if (a | b) & bit:
-                continue
-            a |= bit
-            b |= bit
+            a, b = mask[u] | bit, mask[v] | bit
             if (
                 a.bit_length() - (a & -a).bit_length() < deg[u]
                 and b.bit_length() - (b & -b).bit_length() < deg[v]
@@ -210,7 +207,7 @@ def _search_component(
     i = 0
     while i >= 0:
         if i == m:
-            if need is None or (cnt[need_a] and cnt[need_b]):
+            if not palette or (cnt[0] and cnt[top]):
                 return {e: k + lo for e, k in zip(edges, col)}
             i -= 1
             continue
@@ -228,13 +225,12 @@ def _search_component(
             (a & -a).bit_length() + deg[u] - 2 if a else top,
             (b & -b).bit_length() + deg[v] - 2 if b else top,
         )
-        if i == 0:
-            if pin_first is not None:
-                first, last = max(first, pin_first - lo), min(last, pin_first - lo)
-            if first_cap is not None:
-                last = min(last, first_cap - lo)
-        elif i == 1 and pin_first is not None:  # the mirror half
-            last = min(last, pin_first - lo - 1)
+        if i == 0:  # the mirror half, and the pin
+            last = min(last, mid)
+            if not palette:
+                first = max(first, mid)
+        elif i == 1 and 2 * col[0] == top:
+            last = min(last, mid - 1)
         busy = a | b
         for k in range(first, last + 1):
             if not busy >> k & 1:
@@ -248,9 +244,8 @@ def _search_component(
         mask[u] |= 1 << k
         mask[v] |= 1 << k
         cnt[k] += 1
-        if need is None or (
-            (cnt[need_a] or attainable(need_a, i + 1))
-            and (cnt[need_b] or attainable(need_b, i + 1))
+        if not palette or (
+            (cnt[0] or attainable(0, i + 1)) and (cnt[top] or attainable(top, i + 1))
         ):
             i += 1
     return None
@@ -277,7 +272,7 @@ def _colour_components(
     for edges, deg in components:
         window = min(2 * len(deg), len(edges))
         w = window if cap is None else min(cap, window)
-        sol = _search_component(edges, deg, lo=-(w - 1), hi=w - 1, meter=meter, pin_first=0)
+        sol = _search_component(edges, deg, lo=-(w - 1), hi=w - 1, meter=meter)
         if sol is None:
             if w < window:
                 raise SearchBudgetExceeded(
@@ -339,15 +334,7 @@ def max_colours(
                 f"the certified cap {cap}"
             )
         for t_try in range(top, best_t, -1):
-            sol = _search_component(
-                edges,
-                deg,
-                lo=0,
-                hi=t_try - 1,
-                meter=meter,
-                first_cap=(t_try - 1) // 2,
-                need=(0, t_try - 1),
-            )
+            sol = _search_component(edges, deg, 0, t_try - 1, meter, palette=True)
             if sol is not None:
                 best_t, best = t_try, sol
                 break

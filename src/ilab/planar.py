@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .colouring import EdgeColouring
-from .graphs import Edge, Graph, canonical_edge
+from .graphs import MAX_VERTICES, Edge, Graph, canonical_edge
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,10 @@ class FamilySpec:
     def __post_init__(self):
         if self.s < 2:
             raise ValueError("need at least two columns")
+        if self.vertex_count > MAX_VERTICES:
+            raise ValueError(
+                f"{self.vertex_count} vertices exceed the cap of {MAX_VERTICES}"
+            )
         allowed = range(1, self.s - 1)
         bad = [j for j in self.removed_curved if j not in allowed]
         if bad:

@@ -192,6 +192,9 @@ def check_biregular(b: BipartiteGraph, p: float) -> tuple[bool, int | None]:
     return True, None
 
 
+_U_BLOCK = 256  # U masks per block of the exhaustive pseudorandomness check
+
+
 @dataclass(frozen=True)
 class PseudoReport:
     ok: bool
@@ -229,10 +232,16 @@ def check_pseudorandom(
         v_masks = [y for y in range(1, 1 << nd) if y.bit_count() >= min_v]
         mu = np.array([[(x >> i) & 1 for i in range(nc)] for x in u_masks], float)
         mv = np.array([[(y >> j) & 1 for j in range(nd)] for y in v_masks], float)
-        counts = mu @ m @ mv.T
-        sizes = np.outer(mu.sum(axis=1), mv.sum(axis=1))
-        ratios = np.abs(counts - p * sizes) / sizes**0.85
-        worst = float(ratios.max())
+        hits = m @ mv.T  # each C vertex's edges into each V
+        v_sizes = mv.sum(axis=1)
+        worst = 0.0
+        # blocks of U masks bound each array at _U_BLOCK x |V masks|; counts
+        # are small integers, exact in floats, so the maximum is unchanged
+        for s in range(0, len(mu), _U_BLOCK):
+            block = mu[s : s + _U_BLOCK]
+            sizes = np.outer(block.sum(axis=1), v_sizes)
+            ratios = np.abs(block @ hits - p * sizes) / sizes**0.85
+            worst = max(worst, float(ratios.max()))
         return PseudoReport(worst <= 1.0, worst, True)
 
     rng = np.random.default_rng(seed)

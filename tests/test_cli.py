@@ -747,6 +747,14 @@ class TestPlanarCommands:
         code, _, err = run(capsys, "gen-planar", "--s", "3", "--remove", "7")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("argv", [["--s", "131073"], ["--s", "131072", "--odd"]],
+                             ids=["even", "odd"])
+    def test_family_above_the_vertex_cap_is_refused(self, capsys, argv):
+        # 2^18 + 2 and 2^18 + 1 vertices: no reader would take the file
+        code, out, err = run(capsys, "gen-planar", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestObjective:
     def test_corrected_grid_maximum(self, capsys):
@@ -757,6 +765,11 @@ class TestObjective:
     def test_other_delta_still_below_one(self, capsys):
         code, out, _ = run(capsys, "objective", "--delta", "0.4", "--step", "0.05")
         assert code == 0
+
+    def test_step_below_the_floor_is_refused(self, capsys):
+        code, out, err = run(capsys, "objective", "--step", "0.00005")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestHarness:

@@ -441,3 +441,10 @@ class TestObjective:
         rep = objective_check(0.25, 0.1)
         assert rep.argmax[0] >= 0.1 - 1e-12
         assert rep.max_value < 1.0
+
+    def test_step_floor(self):
+        # 10,000 steps per axis is the finest grid; time grows as 1/step^2
+        assert objective_check(0.25, 1e-4).max_value < 1.0
+        for step in (5e-5, 0.0, float("nan")):
+            with pytest.raises(ValueError, match="grid_step"):
+                objective_check(0.25, step)

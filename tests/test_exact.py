@@ -42,6 +42,7 @@ K5_MINUS = Graph(5, K5.edges[1:])
 C4 = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
 C5 = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
 K7 = Graph(7, tuple(itertools.combinations(range(7), 2)))
+K33 = Graph(6, tuple((i, j) for i in range(3) for j in range(3, 6)))
 PETERSEN = Graph(10, (
     (0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (5, 7), (6, 8), (7, 9), (5, 8), (6, 9),
     (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
@@ -234,10 +235,7 @@ def upward_max_colours(g):
     for edges, deg, window, best in found:
         best_t = len(set(best.values()))
         for t_try in range(best_t + 1, window + 1):
-            sol = exact._search_component(
-                edges, deg, lo=0, hi=t_try - 1, meter=meter,
-                first_cap=(t_try - 1) // 2, need=(0, t_try - 1),
-            )
+            sol = exact._search_component(edges, deg, 0, t_try - 1, meter, palette=True)
             if sol is not None:
                 best_t, best = t_try, sol
         shift = offset - min(best.values())
@@ -246,15 +244,18 @@ def upward_max_colours(g):
     return offset, combined
 
 
-def palette_feasible(g, t):
-    """The call ``max_colours`` makes for palette t on a connected graph."""
+def palette_search(g, t):
+    """The call ``max_colours`` makes for palette t on a connected graph:
+    whether it succeeds, and the nodes it takes."""
     [edges] = exact._connected_edge_order(g.edges)
     deg = {v: g.degree(v) for v in range(g.vertex_count)}
     meter = exact._Meter(SearchBudget(node_limit=None))
-    sol = exact._search_component(
-        edges, deg, lo=0, hi=t - 1, meter=meter, first_cap=(t - 1) // 2, need=(0, t - 1)
-    )
-    return sol is not None
+    sol = exact._search_component(edges, deg, 0, t - 1, meter, palette=True)
+    return sol is not None, meter.nodes
+
+
+def palette_feasible(g, t):
+    return palette_search(g, t)[0]
 
 
 def assert_matches_upward(g):
@@ -272,6 +273,26 @@ def test_s5_palette_gap_forbids_bisection():
     # 12 fails between two palettes that succeed: refuting it takes 1.39M nodes
     g, _ = extremal_family(FamilySpec(5))
     assert [palette_feasible(g, t) for t in (11, 12, 13)] == [True, False, True]
+
+
+@pytest.mark.parametrize(
+    "g, t, want",
+    [
+        (K4, 4, (True, 7)),
+        (K4, 5, (False, 24)),
+        (K4, 6, (False, 16)),
+        (K33, 7, (False, 61)),
+        (K33, 8, (False, 35)),
+        (K33, 9, (False, 41)),
+    ],
+    ids=["K4-4", "K4-5", "K4-6", "K33-7", "K33-8", "K33-9"],
+)
+def test_palette_search_halves_the_centre_subtree(g, t, want):
+    # an odd palette has a centre colour, and while edge 0 sits on it edge 1
+    # stays below it: K4 t=5 took 31 nodes without that cap, K3,3 t=7 81 and
+    # t=9 46; even palettes have no centre, and a success stops before the
+    # cap can bite, so those counts are what edge 0's cap alone gives
+    assert palette_search(g, t) == want
 
 
 @pytest.mark.parametrize("s", range(2, 7))

@@ -1,7 +1,10 @@
 """Layered generator, dense-part finder, witness checking, and the probe."""
 
 import dataclasses
+import itertools
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -125,6 +128,40 @@ class TestHypothesisChecks:
         assert rep.exhaustive and rep.ok
         # e(U, V) = |U||V| exactly, so the deviation is zero for every pair
         assert rep.worst_ratio == pytest.approx(0.0)
+
+    def test_pseudorandom_exhaustive_matches_pair_oracle(self):
+        # every qualifying (U, V) pair, counted edge by edge
+        rng = random.Random(5)
+        for _ in range(12):
+            nc, nd = rng.randint(1, 6), rng.randint(1, 6)
+            p, alpha = rng.choice((0.3, 0.5, 0.8)), rng.choice((0.0, 0.2, 0.5))
+            left, right = tuple(range(nc)), tuple(range(nc, nc + nd))
+            edges = tuple((u, v) for u in left for v in right if rng.random() < p)
+            rep = check_pseudorandom(BipartiteGraph(left, right, edges), alpha, p)
+            worst = 0.0
+            for su in range(max(1, math.ceil(alpha * nc)), nc + 1):
+                for sv in range(max(1, math.ceil(alpha * nd)), nd + 1):
+                    for us in itertools.combinations(left, su):
+                        for vs in itertools.combinations(right, sv):
+                            e = sum(u in us and v in vs for u, v in edges)
+                            worst = max(worst, abs(e - p * su * sv) / (su * sv) ** 0.85)
+            assert rep.exhaustive and rep.worst_ratio == pytest.approx(worst, rel=1e-12)
+            assert rep.ok == (rep.worst_ratio <= 1.0)
+
+    def test_pseudorandom_exhaustive_memory_is_bounded(self):
+        # alpha = 0 qualifies all 4095 x 4095 mask pairs of a 12 x 12 layer;
+        # one array over all of them would take 128 MB
+        rng = random.Random(3)
+        left, right = tuple(range(12)), tuple(range(12, 24))
+        edges = tuple((u, v) for u in left for v in right if rng.random() < 0.5)
+        b = BipartiteGraph(left, right, edges)
+        tracemalloc.start()
+        try:
+            rep = check_pseudorandom(b, alpha=0.0, p=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.exhaustive and peak < 64 * 2**20
 
     def test_pseudorandom_sampled_is_deterministic(self):
         p = LowerBoundParams(r=2, n=300, delta=0.1, epsilon=1e-4, seed=4)
