@@ -16,8 +16,9 @@ Writing is deterministic byte for byte, edges in sorted ``(u, v)`` order
 with ``u < v`` (layered files: by layer, then endpoints). Every JSON file
 goes through :func:`serialize_json`: sorted keys, no whitespace, one final
 newline. Layered JSON alone keeps its one-space indent, because golden
-digests of ``gen-lower`` output pin those bytes. Reading follows these
-rules:
+digests of ``gen-lower`` output pin those bytes; it is written directly,
+in the same bytes ``json.dumps(..., sort_keys=True, indent=1)`` gave.
+Reading follows these rules:
 
 * every malformed file raises :class:`FormatError` (CLI exit code 2);
 * a graph, colouring or layered file declares at most
@@ -219,24 +220,43 @@ def serialize_colouring_json(c: EdgeColouring) -> str:
 # layered bipartite graphs and their partitions
 # ---------------------------------------------------------------------------
 
+def _indented(items: list[str], depth: int) -> str:
+    """A JSON array of already encoded items, laid out as ``indent=1`` lays
+    out an array that opens at nesting depth ``depth``."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
+
+
 def serialize_layered_json(lb: LayeredBipartite) -> str:
-    """JSON form with layer tags on edges; deterministic byte-for-byte."""
+    """JSON form with layer tags on edges; deterministic byte-for-byte.
+
+    The bytes are those of ``json.dumps(doc, sort_keys=True, indent=1)``,
+    written directly: CPython's C encoder does not do indented output, and
+    its pure-Python one costs a call per value. Each layer's edges are
+    sorted, so the layers concatenated in order are sorted by layer, then
+    endpoints.
+    """
     p = lb.params
-    edges = []
-    for i, lg in enumerate(lb.layer_graphs, start=1):
-        edges.extend([b, a, i] for b, a in lg.edges)
-    doc = {
-        "kind": "layered-bipartite",
-        "r": p.r,
-        "n": p.n,
-        "delta": p.delta,
-        "epsilon": p.epsilon,
-        "seed": p.seed,
-        "a_layers": [list(layer) for layer in lb.a_layers],
-        "edges": sorted(edges, key=lambda e: (e[2], e[0], e[1])),
+    a_layers = [_indented(list(map(str, layer)), 2) for layer in lb.a_layers]
+    edges = [
+        f"[\n   {b},\n   {a},\n   {i}\n  ]"  # _indented([b, a, i], 2)
+        for i, lg in enumerate(lb.layer_graphs, start=1)
+        for b, a in lg.edges
+    ]
+    fields = {  # in sorted key order
+        "a_layers": _indented(a_layers, 1),
+        "delta": json.dumps(p.delta),
+        "edges": _indented(edges, 1),
+        "epsilon": json.dumps(p.epsilon),
+        "kind": json.dumps("layered-bipartite"),
+        "n": json.dumps(p.n),
+        "r": json.dumps(p.r),
+        "seed": json.dumps(p.seed),
     }
     # not serialize_json: the benchmark's golden digests pin these bytes
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    return "{\n " + ",\n ".join(f'"{k}": {v}' for k, v in fields.items()) + "\n}\n"
 
 
 def parse_layered_json(text: str) -> LayeredBipartite:

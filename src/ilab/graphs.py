@@ -131,26 +131,34 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int
 
 
 def diameter(g: Graph) -> float:
-    """Largest BFS eccentricity; ``math.inf`` if disconnected, 0 if n <= 1."""
-    if g.vertex_count <= 1:
+    """Largest BFS eccentricity; ``math.inf`` if disconnected, 0 if n <= 1.
+
+    Every source expands at once, as int bitsets: ``reach[v]`` holds the
+    vertices within distance d of v, starting from v and its neighbours at
+    d = 1, and each round ORs into it the masks of v's neighbours. The
+    diameter is the first d at which every mask is full; a round that
+    changes no mask before then means the graph is disconnected. A round
+    costs two big-int ORs per edge.
+    """
+    n = g.vertex_count
+    if n <= 1:
         return 0
-    best = 0
-    for s in range(g.vertex_count):
-        dist = [-1] * g.vertex_count
-        dist[s] = 0
-        q = deque([s])
-        reached = 1
-        while q:
-            x = q.popleft()
-            for y in g.adjacency[x]:
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    reached += 1
-                    q.append(y)
-        if reached < g.vertex_count:
+    full = (1 << n) - 1
+    reach = [1 << v for v in range(n)]
+    for u, v in g.edges:
+        reach[u] |= 1 << v
+        reach[v] |= 1 << u
+    d = 1
+    while not all(m == full for m in reach):
+        grown = reach[:]
+        for u, v in g.edges:
+            grown[u] |= reach[v]
+            grown[v] |= reach[u]
+        if grown == reach:
             return math.inf
-        best = max(best, max(dist))
-    return best
+        reach = grown
+        d += 1
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -223,11 +223,11 @@ def check_pseudorandom(
     min_v = max(1, math.ceil(alpha * nd))
     lpos = {u: i for i, u in enumerate(b.left)}
     rpos = {v: i for i, v in enumerate(b.right)}
-    m = np.zeros((nc, nd), dtype=np.float64)
-    for u, v in b.edges:
-        m[lpos[u], rpos[v]] = 1.0
 
     if nc <= 12 and nd <= 12:
+        m = np.zeros((nc, nd), dtype=np.float64)
+        for u, v in b.edges:
+            m[lpos[u], rpos[v]] = 1.0
         u_masks = [x for x in range(1, 1 << nc) if x.bit_count() >= min_u]
         v_masks = [y for y in range(1, 1 << nd) if y.bit_count() >= min_v]
         mu = np.array([[(x >> i) & 1 for i in range(nc)] for x in u_masks], float)
@@ -244,14 +244,19 @@ def check_pseudorandom(
             worst = max(worst, float(ratios.max()))
         return PseudoReport(worst <= 1.0, worst, True)
 
+    # e(U, V) counts the edges with both endpoints chosen: O(m) per trial
+    eu = np.array([lpos[u] for u, _ in b.edges], dtype=np.intp)
+    ev = np.array([rpos[v] for _, v in b.edges], dtype=np.intp)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         su = int(rng.integers(min_u, nc + 1))
         sv = int(rng.integers(min_v, nd + 1))
-        iu = rng.choice(nc, size=su, replace=False)
-        iv = rng.choice(nd, size=sv, replace=False)
-        count = float(m[np.ix_(iu, iv)].sum())
+        in_u = np.zeros(nc, dtype=bool)
+        in_v = np.zeros(nd, dtype=bool)
+        in_u[rng.choice(nc, size=su, replace=False)] = True
+        in_v[rng.choice(nd, size=sv, replace=False)] = True
+        count = int(np.count_nonzero(in_u[eu] & in_v[ev]))
         worst = max(worst, abs(count - p * su * sv) / (su * sv) ** 0.85)
     return PseudoReport(worst <= 1.0, worst, False)
 
@@ -312,10 +317,11 @@ def find_dense_monochromatic(
     middle = tuple(sorted(adj_l[x0]))
     far = tuple(sorted({u for v in middle for u in adj_r[v]}))
     edges = tuple(sorted(canonical_edge(u, v) for v in middle for u in adj_r[v]))
-    # relabel for the diameter computation; far holds x0
+    # relabel for the diameter computation; far holds x0. The relabel is
+    # monotone, so the sorted canonical edges stay sorted, distinct and u < v
     labels = sorted({*middle, *far})
     pos = {x: i for i, x in enumerate(labels)}
-    local = Graph(len(labels), tuple((pos[u], pos[v]) for u, v in edges))
+    local = Graph._trusted(len(labels), tuple((pos[u], pos[v]) for u, v in edges))
     diam = diameter(local)
     if not math.isfinite(diam) or diam > 4:
         raise AssertionError("second neighbourhood must be connected with diameter <= 4")
@@ -368,8 +374,9 @@ def validate_spread_witness(
     """Recompute a witness from scratch and decide whether it certifies.
 
     All quantities are rebuilt from the layered graph: the part's subgraph on
-    `h_vertices` (all layers), its connectivity and diameter, the pivot's
-    edge count into it, and the true ambient max degree over the piece.
+    `h_vertices` (all layers), its diameter (infinite when the part edges do
+    not connect the piece), the pivot's edge count into it, and the true
+    ambient max degree over the piece.
     Every piece vertex must carry an internal part edge, so each of the
     pivot's neighbours does and the spread transfers. One scan of the
     layered graph's edges collects both the piece's and the pivot's part
@@ -389,13 +396,16 @@ def validate_spread_witness(
                 pivot_hits.append(e[0] if e[1] == w.pivot else e[1])
     if not h_edges:
         return False, "piece carries no edges of the part"
+    # h_edges is a sorted subsequence of the canonical edges, and the relabel
+    # is monotone, so the local edges stay sorted, distinct and u < v
     labels = sorted(hset)
     pos = {x: i for i, x in enumerate(labels)}
-    local = Graph(len(labels), tuple((pos[u], pos[v]) for u, v in h_edges))
-    touched = {x for e in h_edges for x in e}
-    if touched != hset or not local.is_connected():
-        return False, "part edges do not connect the piece"
+    local = Graph._trusted(len(labels), tuple((pos[u], pos[v]) for u, v in h_edges))
+    # the piece has two or more vertices, so a finite diameter also puts a
+    # part edge on every one of them
     diam = diameter(local)
+    if not math.isfinite(diam):
+        return False, "part edges do not connect the piece"
     n_edges = len(pivot_hits)
     if n_edges != w.edge_count:
         return False, f"pivot edge count is {n_edges}, witness says {w.edge_count}"

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -55,6 +56,66 @@ def test_diameter_values():
     assert diameter(path) == 3
     assert diameter(Graph(2, ())) == math.inf
     assert diameter(Graph(1, ())) == 0
+
+
+def bfs_diameter(n, edges):
+    """Largest eccentricity by plain BFS, sharing no code with ilab.graphs."""
+    if n <= 1:
+        return 0
+    nbrs = {v: [] for v in range(n)}
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    best = 0
+    for s in range(n):
+        dist = {s: 0}
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in nbrs[x]:
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        if len(dist) < n:
+            return math.inf
+        best = max(best, max(dist.values()))
+    return best
+
+
+def diameter_cases():
+    yield 0, []
+    yield 1, []
+    for n in (2, 3, 7, 25):
+        yield n, []  # empty, so disconnected
+        yield n, [(i, i + 1) for i in range(n - 1)]  # path
+        yield n, [(u, v) for u in range(n) for v in range(u + 1, n)]  # complete
+        yield n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)] * (n > 2)  # cycle
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randint(0, 25)
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        yield n, edges
+        # the same edges cut in two at a random vertex: disconnected unless
+        # one side is empty
+        cut = rng.randint(0, n)
+        yield n, [(u, v) for u, v in edges if (u < cut) == (v < cut)]
+
+
+def test_diameter_matches_bfs_oracle():
+    seen = set()
+    for n, edges in diameter_cases():
+        want = bfs_diameter(n, edges)
+        assert diameter(Graph(n, tuple(edges))) == want, (n, edges)
+        seen.add(want if want == math.inf else min(want, 3))
+    assert seen == {0, 1, 2, 3, math.inf}
+
+
+def test_diameter_of_a_long_path():
+    n = 1000
+    assert diameter(Graph(n, tuple((i, i + 1) for i in range(n - 1)))) == n - 1
 
 
 def test_induced_subgraph_relabels_in_order():

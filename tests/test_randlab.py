@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -9,6 +10,7 @@ import tracemalloc
 import pytest
 
 from ilab import (
+    DensePartHypothesis,
     LayeredBipartite,
     LowerBoundParams,
     SpreadWitness,
@@ -104,6 +106,34 @@ class TestGenerate:
         lb = generate(LowerBoundParams(r=3, n=120, delta=0.2, epsilon=0.005, seed=9))
         assert parse_layered_json(serialize_layered_json(lb)) == lb
 
+    @pytest.mark.parametrize("r,n,delta,epsilon,seed", [
+        (1, 50, 0.3, 0.05, 1),
+        (2, 200, 0.1, 1e-3, 2),
+        (3, 150, 0.2, 0.005, 3),
+        (3, 100, 0.2, 0.005, 1),  # the benchmark's gen-lower parameters
+        (3, 100, 0.2, 1e-4, 0),  # layer 2 has no edges
+        (2, 30, 0.2, 1e-9, 5),  # no layer has an edge
+    ])
+    def test_layered_bytes_match_indented_json(self, r, n, delta, epsilon, seed):
+        lb = generate(LowerBoundParams(r, n, delta, epsilon, seed))
+        if epsilon < 1e-3:
+            assert not all(lg.edges for lg in lb.layer_graphs)
+        p = lb.params
+        tagged = [[b, a, i] for i, lg in enumerate(lb.layer_graphs, start=1) for b, a in lg.edges]
+        doc = {
+            "kind": "layered-bipartite",
+            "r": p.r,
+            "n": p.n,
+            "delta": p.delta,
+            "epsilon": p.epsilon,
+            "seed": p.seed,
+            "a_layers": [list(layer) for layer in lb.a_layers],
+            "edges": sorted(tagged, key=lambda e: (e[2], e[0], e[1])),
+        }
+        text = serialize_layered_json(lb)
+        assert text == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        assert parse_layered_json(text) == lb
+
     def test_parse_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
             parse_layered_json('{"kind": "something-else"}')
@@ -170,6 +200,38 @@ class TestHypothesisChecks:
         r1 = check_pseudorandom(big, alpha=0.05, p=p.p(2), trials=50, seed=11)
         r2 = check_pseudorandom(big, alpha=0.05, p=p.p(2), trials=50, seed=11)
         assert r1 == r2 and not r1.exhaustive
+        # computed by the dense-matrix count this check once used
+        assert (r1.worst_ratio.hex(), r1.ok) == ("0x1.b94f7a7259690p-6", True)
+
+    @pytest.mark.parametrize("n,seed,k,restricted,ratio", [
+        # layers of the benchmark's gen-lower instances, checked as the probe does
+        (1000, 1, 1, False, "0x1.440af26117d0cp-6"),
+        (1000, 2, 2, False, "0x1.82d6f9536b253p-4"),
+        (100, 3, 1, False, "0x1.6590d8286b0a9p-4"),
+        # every third ground vertex and all but the first A vertex, so labels
+        # are not positions
+        (1000, 1, 1, True, "0x1.453b3b1520b8dp-6"),
+        (1000, 2, 2, True, "0x1.171a31fcd7fdcp-4"),
+        (100, 3, 1, True, "0x1.1ea0b33db003ep-4"),
+    ])
+    def test_pseudorandom_sampled_values_are_frozen(self, n, seed, k, restricted, ratio):
+        # worst ratios computed by the dense-matrix count this check once used
+        p = LowerBoundParams(r=3, n=n, delta=0.2, epsilon=0.005, seed=seed)
+        lb = generate(p)
+        layer, p_k = lb.layer_graphs[k - 1], p.p(k)
+        if restricted:
+            layer = layer.restrict(range(0, n, 3), lb.a_layers[k - 1][1:])
+            rep = check_pseudorandom(layer, 0.05, p_k, trials=60, seed=seed)
+        else:
+            alpha = DensePartHypothesis(p_k, 3).alpha
+            rep = check_pseudorandom(layer, alpha, p_k, trials=100, seed=seed * 100_003 + k)
+        assert min(len(layer.left), len(layer.right)) > 12 and not rep.exhaustive
+        assert (rep.worst_ratio.hex(), rep.ok) == (ratio, True)
+
+    def test_pseudorandom_sampled_flags_a_wrong_p(self):
+        p = LowerBoundParams(r=3, n=100, delta=0.2, epsilon=0.005, seed=3)
+        rep = check_pseudorandom(generate(p).layer_graphs[0], alpha=0.1, p=0.5, trials=40, seed=7)
+        assert (rep.worst_ratio.hex(), rep.ok) == ("0x1.7c566850fab47p+0", False)
 
 
 class TestFindDense:
@@ -228,6 +290,11 @@ class TestWitness:
         inside = dataclasses.replace(w, pivot=w.h_vertices[0])
         ok, why = validate_spread_witness(lb, parts, inside)
         assert not ok
+        # a piece with an id outside the graph, and one that drops x0 and
+        # so falls apart into eight stars
+        for h in (w.h_vertices + (w.pivot + 1,), w.h_vertices[1:]):
+            ok, why = validate_spread_witness(lb, parts, dataclasses.replace(w, h_vertices=h))
+            assert (ok, why) == (False, "part edges do not connect the piece")
 
 
 class TestProbe:
