@@ -279,14 +279,7 @@ def _cmd_probe(args, files: _Files) -> int:
             "refuted": trace.refuted,
             "used_parts": trace.used_parts,
             "stages": [
-                {
-                    "k": st.k,
-                    "part": st.part,
-                    "ground_before": st.ground_before,
-                    "ground_after": st.ground_after,
-                    "deletion_proportion": st.deletion_proportion,
-                    "forced_repeat": st.forced_repeat,
-                }
+                {key: v for key, v in asdict(st).items() if key != "hypotheses"}
                 for st in trace.stages
             ],
             "witnesses": [asdict(w) for w in trace.witnesses],

@@ -123,7 +123,6 @@ def bit_split(g: Graph) -> list[BitLayer]:
 class KFactorWitness:
     """Either a k-factor or a violating subset pair (X from left, Y from right)."""
 
-    k: int
     factor: BipartiteGraph | None
     violation: tuple[tuple[int, ...], tuple[int, ...]] | None
 
@@ -156,7 +155,7 @@ def find_k_factor(b: BipartiteGraph, k: int) -> KFactorWitness:
     if k < 0 or k > n:
         raise ValueError(f"k={k} out of range for part size {n}")
     if k == 0:
-        return KFactorWitness(0, BipartiteGraph._trusted(b.left, b.right, ()), None)
+        return KFactorWitness(BipartiteGraph._trusted(b.left, b.right, ()), None)
     lpos = {u: i for i, u in enumerate(b.left)}
     rpos = {v: i for i, v in enumerate(b.right)}
     if k == 1:
@@ -167,7 +166,7 @@ def find_k_factor(b: BipartiteGraph, k: int) -> KFactorWitness:
         if len(match) == n:
             chosen = tuple(sorted((b.left[i], b.right[j]) for i, j in match.items()))
             factor = BipartiteGraph._trusted(b.left, b.right, chosen)
-            return KFactorWitness(1, factor, None)
+            return KFactorWitness(factor, None)
         reached_r = {j for i in reached for j in adjacency[i]}
         xs = tuple(u for u in b.left if lpos[u] in reached)
         ys = tuple(v for v in b.right if rpos[v] not in reached_r)
@@ -184,11 +183,11 @@ def find_k_factor(b: BipartiteGraph, k: int) -> KFactorWitness:
         if flow == k * n:
             chosen = tuple(e for e, idx in mid.items() if net.flow_on(idx) == 1)
             factor = BipartiteGraph._trusted(b.left, b.right, chosen)
-            return KFactorWitness(k, factor, None)
+            return KFactorWitness(factor, None)
         side = net.min_cut_source_side()
         xs = tuple(u for u in b.left if lpos[u] in side)
         ys = tuple(v for v in b.right if (n + rpos[v]) not in side)
-    witness = KFactorWitness(k, None, (xs, ys))
+    witness = KFactorWitness(None, (xs, ys))
     # cut capacity = k(n-|X|) + k(n-|Y|) + e(X,Y) = flow < kn, hence strict
     slack = subset_criterion_value(b, k, xs, ys)
     if slack >= 0:
@@ -437,11 +436,9 @@ class ForestPart:
 
 @dataclass
 class DecompositionReport:
-    graph: Graph
     partition: EdgePartition
     parts: list[FactorPart | ForestPart]  # part i is parts[i]
     layers: list[BitLayer]
-    config: PipelineConfig
     stuck_layers: list[int] = field(default_factory=list)
 
     @property
@@ -493,11 +490,9 @@ def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> Decompositio
 
     part_of = {e: i for i, part in enumerate(parts) for e in part.colouring.colours}
     return DecompositionReport(
-        graph=g,
         partition=EdgePartition(g, part_of, len(parts)),
         parts=parts,
         layers=layers,
-        config=cfg,
         stuck_layers=stuck,
     )
 
@@ -511,8 +506,6 @@ MIN_GRID_STEP = 1e-4  # at most 10,000 steps per axis; time grows as 1/step^2
 
 @dataclass
 class ObjectiveReport:
-    delta: float
-    grid_step: float
     max_value: float
     argmax: tuple[float, float]
     boundary_x0_value: float  # sup over the excluded x = 0 edge (exactly 1)
@@ -546,10 +539,4 @@ def objective_check(delta: float, grid_step: float = 0.01) -> ObjectiveReport:
         if vals[i] > best:
             best = float(vals[i])
             arg = (float(x), float(ys[i]))
-    return ObjectiveReport(
-        delta=delta,
-        grid_step=grid_step,
-        max_value=best,
-        argmax=arg,
-        boundary_x0_value=1.0,
-    )
+    return ObjectiveReport(max_value=best, argmax=arg, boundary_x0_value=1.0)

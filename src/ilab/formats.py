@@ -23,8 +23,9 @@ Reading follows these rules:
 * every malformed file raises :class:`FormatError` (CLI exit code 2);
 * a graph, colouring or layered file declares at most
   :data:`~ilab.graphs.MAX_VERTICES` (2^18) vertices; a layered file counts
-  ``n`` plus the ids its parameters give the A sides, and its parameters may
-  not ask for more than 2^24 cells in the first layer's draw;
+  ``n`` plus the ids ``a_layers`` lists (the A-side sizes its parameters
+  give must fit the cap too), and its parameters may not ask for more than
+  2^24 cells in the first layer's draw;
 * text errors cite the physical file line; blank lines are skipped but
   counted, and a negative edge count is rejected;
 * integer fields must be JSON integers, so floats, booleans and numeric
@@ -277,6 +278,10 @@ def parse_layered_json(text: str) -> LayeredBipartite:
         if layer != tuple(range(start, start + len(layer))):
             raise FormatError(f"A_{i} must be the ids {start}..{start + len(layer) - 1} in order")
         start += len(layer)
+    if start > MAX_VERTICES:
+        raise FormatError(
+            f"n + |A_1| + ... + |A_r| = {start} exceeds the cap of {MAX_VERTICES} vertices"
+        )
     by_layer: list[list[Edge]] = [[] for _ in range(r)]
     for b, a, i in _int_rows(doc, "edges", 3):
         if not 1 <= i <= r:

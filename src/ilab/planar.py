@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colouring import EdgeColouring
+from .colouring import EdgeColouring, verify
 from .graphs import MAX_VERTICES, Edge, Graph, canonical_edge
 
 
@@ -121,10 +121,16 @@ class SplitResult:
     edge: Edge  # the unique edge carrying `colour`
     v1: tuple[int, ...]  # vertices whose colours all lie below `colour`
     v2: tuple[int, ...]  # vertices whose colours all lie above `colour`
-    g1: Graph
     c1: EdgeColouring  # edges coloured < colour, plus `edge`
-    g2: Graph
     c2: EdgeColouring  # edges coloured > colour, plus `edge`
+
+    @property
+    def g1(self) -> Graph:
+        return self.c1.graph
+
+    @property
+    def g2(self) -> Graph:
+        return self.c2.graph
 
 
 def unique_colour_split(c: EdgeColouring) -> SplitResult | None:
@@ -141,8 +147,6 @@ def unique_colour_split(c: EdgeColouring) -> SplitResult | None:
     the one-sidedness of every vertex, which the split relies on, is only
     guaranteed when colour sets are contiguous.
     """
-    from .colouring import verify
-
     if not c.graph.is_connected():
         raise ValueError("unique_colour_split needs a connected graph")
     report = verify(c)
@@ -175,17 +179,13 @@ def unique_colour_split(c: EdgeColouring) -> SplitResult | None:
     low[edge] = c0
     high = {e: col for e, col in c.colours.items() if col > c0}
     high[edge] = c0
-    g1 = Graph(g.vertex_count, tuple(sorted(low)))
-    g2 = Graph(g.vertex_count, tuple(sorted(high)))
     return SplitResult(
         colour=c0,
         edge=edge,
         v1=tuple(v1),
         v2=tuple(v2),
-        g1=g1,
-        c1=EdgeColouring(g1, low),
-        g2=g2,
-        c2=EdgeColouring(g2, high),
+        c1=EdgeColouring(Graph(g.vertex_count, tuple(sorted(low))), low),
+        c2=EdgeColouring(Graph(g.vertex_count, tuple(sorted(high))), high),
     )
 
 
@@ -235,8 +235,6 @@ def certified_colour_cap(g: Graph) -> int | None:
 
 @dataclass(frozen=True)
 class BoundReport:
-    vertex_count: int
-    k: int
     colour_count: int
     bound: float  # (k/2) n + 1 - k
 
@@ -247,7 +245,4 @@ class BoundReport:
 
 def verify_colour_bound(g: Graph, k: int, colour_count: int) -> BoundReport:
     """Check colour_count <= (k/2) n + 1 - k (t <= 1.5 n - 2 at k = 3)."""
-    bound = (k / 2) * g.vertex_count + 1 - k
-    return BoundReport(
-        vertex_count=g.vertex_count, k=k, colour_count=colour_count, bound=bound
-    )
+    return BoundReport(colour_count=colour_count, bound=(k / 2) * g.vertex_count + 1 - k)

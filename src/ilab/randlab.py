@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -120,26 +121,20 @@ class LayeredBipartite:
     def ground(self) -> tuple[int, ...]:
         return tuple(range(self.n))
 
-    def layer_of(self, vertex: int) -> int | None:
-        """1-based layer index of an A-side vertex, None for ground vertices."""
-        if vertex < self.n:
-            return None
-        for i, layer in enumerate(self.a_layers, start=1):
-            if layer and layer[0] <= vertex <= layer[-1]:
-                return i
-        raise ValueError(f"vertex {vertex} out of range")
-
     def all_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(e for lg in self.layer_graphs for e in lg.edges))
 
-    def ambient_degree(self, vertex: int) -> int:
-        total = 0
+    @cached_property
+    def _degrees(self) -> Counter[int]:
+        """Every vertex's degree over all layers, counted once from the edges."""
+        degrees: Counter[int] = Counter()
         for lg in self.layer_graphs:
-            if vertex in lg.left_adjacency:
-                total += len(lg.left_adjacency[vertex])
-            elif vertex in lg.right_adjacency:
-                total += len(lg.right_adjacency[vertex])
-        return total
+            for column in zip(*lg.edges):  # the b ends, then the a ends
+                degrees.update(column)
+        return degrees
+
+    def ambient_degree(self, vertex: int) -> int:
+        return self._degrees[vertex]  # 0 for an id no edge touches
 
 
 def generate(params: LowerBoundParams) -> LayeredBipartite:
@@ -444,7 +439,6 @@ class StageHypotheses:
 class ProbeStage:
     k: int
     part: int | None
-    report: DenseSubgraphReport | None
     ground_before: int  # |B_{k-1}|
     ground_after: int  # |B_k|
     deletion_proportion: float
@@ -454,7 +448,6 @@ class ProbeStage:
 
 @dataclass
 class ProbeTrace:
-    params: LowerBoundParams
     budget_scale: float
     stages: list[ProbeStage] = field(default_factory=list)
     witnesses: list[SpreadWitness] = field(default_factory=list)
@@ -497,7 +490,7 @@ def adversarial_probe(
     if not 0 < budget_scale < math.inf:
         raise ValueError(f"budget_scale must be positive and finite, got {budget_scale}")
     params = lb.params
-    trace = ProbeTrace(params=params, budget_scale=budget_scale)
+    trace = ProbeTrace(budget_scale=budget_scale)
     ground: set[int] = set(lb.ground)
     # (part, K_i, B_i, degree cap of K_i)
     used: list[tuple[int, DenseSubgraphReport, set[int], int]] = []
@@ -536,7 +529,7 @@ def adversarial_probe(
         restricted = layer.restrict(ground, lb.a_layers[k - 1])
         if not restricted.edges:
             trace.stages.append(
-                ProbeStage(k, None, None, len(ground), len(ground), 0.0, None)
+                ProbeStage(k, None, len(ground), len(ground), 0.0, None)
             )
             return trace
         # -- deletion of the used parts' edges, one part lookup per edge
@@ -575,17 +568,15 @@ def adversarial_probe(
         )
         report = find_dense_monochromatic(search_graph, part_of)
         new_ground = set(report.far)
-        stage = ProbeStage(
+        trace.stages.append(ProbeStage(
             k=k,
             part=report.part,
-            report=report,
             ground_before=len(ground),
             ground_after=len(new_ground),
             deletion_proportion=proportion,
             hypotheses=hyp,
             forced_repeat=forced,
-        )
-        trace.stages.append(stage)
+        ))
         if forced:
             trace.contradiction = True
             return trace

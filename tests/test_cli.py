@@ -554,26 +554,30 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err.startswith("error: A_") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("name", ["g.txt", "g.json", "lb.json"])
+    @pytest.mark.parametrize("name", ["g.txt", "g.json", "lb.json", "lb-a_layers.json"])
     def test_vertex_count_above_the_cap(self, capsys, tmp_path, name):
         # a header n of 10^11 made bit_split grow tuple(range(2^37)) until
         # memory ran out, and a layered n builds its ground as tuple(range(n));
         # the smallest refused count keeps a regression here cheap
         big = 2**18 + 1
+        doc = json.loads(FUZZ_FILES["lb.json"])  # the fuzz gate's layered graph
         if name == "g.txt":
             text = f"{big} 1\n0 1\n"
         elif name == "g.json":
             text = json.dumps({"n": big, "edges": [[0, 1]]})
-        else:  # the fuzz gate's layered graph, its A ids moved up to big
-            doc = json.loads(FUZZ_FILES["lb.json"])
+        elif name == "lb.json":  # its A ids moved up to big
             shift = big - doc["n"]
             doc["n"] = big
             doc["a_layers"] = [[a + shift for a in layer] for layer in doc["a_layers"]]
             doc["edges"] = [[b, a + shift, i] for b, a, i in doc["edges"]]
             text = json.dumps(doc)
+        else:  # its parameters unchanged, its last A layer extended to big ids in all
+            last = doc["a_layers"][-1]
+            last.extend(range(last[-1] + 1, big))
+            text = json.dumps(doc)
         (tmp_path / name).write_text(text)
         (tmp_path / "parts.json").write_text(FUZZ_FILES["parts.json"])
-        if name == "lb.json":
+        if name.startswith("lb"):
             argv = ["probe", tmp_path / name, tmp_path / "parts.json"]
         else:
             argv = ["decompose", tmp_path / name]

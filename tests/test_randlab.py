@@ -100,7 +100,17 @@ class TestGenerate:
         for i, lg in enumerate(lb.layer_graphs, start=1):
             for b, a in lg.edges:
                 assert b < p.n
-                assert lb.layer_of(a) == i
+                assert a in lb.a_layers[i - 1]
+
+    def test_ambient_degree_counts_every_layer(self):
+        lb = generate(LowerBoundParams(r=3, n=150, delta=0.2, epsilon=0.005, seed=3))
+        edges = lb.all_edges()
+        top = max(max(layer) for layer in lb.a_layers)
+        for v in range(top + 1):
+            assert lb.ambient_degree(v) == sum(v in e for e in edges), v
+        untouched = next(v for v in range(top + 1) if not any(v in e for e in edges))
+        assert lb.ambient_degree(untouched) == 0
+        assert lb.ambient_degree(top + 1) == 0
 
     def test_round_trip_through_json(self):
         lb = generate(LowerBoundParams(r=3, n=120, delta=0.2, epsilon=0.005, seed=9))

@@ -85,3 +85,24 @@ def test_traced_probe_records_the_randlab_layers(tmp_path, capsys):
             "randlab.find_dense_monochromatic", "graphs.diameter",
             "graphs.restrict"} <= called
     assert spans.layer_metrics(tracer, passes=1)["randlab.overruns"] > 0
+
+
+def test_traced_solve_records_the_exact_layers(tmp_path, capsys):
+    # K4 is interval colourable with theta = 1, and planar, so every solve
+    # mode and the k = 3 bound succeed; the theta search reports its nodes
+    # through the exact_thickness hook
+    g = tmp_path / "k4.txt"
+    g.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    originals = wrapped_attributes()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        for mode in ("colourable", "tmax", "theta"):
+            assert main(["solve", str(g), "--mode", mode]) == 0
+        assert main(["bound", str(g), "--k", "3"]) == 0
+    capsys.readouterr()
+    assert wrapped_attributes() == originals
+    metrics = spans.layer_metrics(tracer, passes=1)
+    for name in ("exact.find_interval_colouring", "exact.max_colours",
+                 "exact.exact_thickness", "planar.hereditary_sparsity"):
+        assert metrics[f"{name}.calls"] >= 1, name
+    assert metrics["exact.theta_nodes"] > 0
