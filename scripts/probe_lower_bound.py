@@ -31,13 +31,7 @@ def partitions_for(lb, q, seed):
 
 
 def outcome(trace):
-    if trace.witnesses:
-        return "refuted (witness)"
-    if trace.contradiction:
-        return "refuted (repeat)"
-    if trace.stages and trace.stages[-1].part is None:
-        return "exhausted"
-    return "survived"
+    return f"refuted ({trace.outcome})" if trace.refuted else trace.outcome
 
 
 def main(argv=None):

@@ -286,17 +286,14 @@ def _cmd_probe(args, files: _Files) -> int:
             "overruns": [asdict(o) for o in trace.overruns],
         }
         files.write(args.report, serialize_json(doc))
-    if trace.witnesses:
-        print("refuted: a spread witness certifies an uncolourable part")
-        return 0
-    if trace.contradiction:
-        print(f"refuted: forced part repeat at stage {trace.stages[-1].k}")
-        return 0
-    if trace.stages and trace.stages[-1].part is None:
-        print(f"exhausted at stage {trace.stages[-1].k}: no surviving edges")
-        return 1
-    print(f"partition survived all {lb.params.r} stages (parts: {trace.used_parts})")
-    return 1
+    last = trace.stages[-1].k if trace.stages else None
+    print({
+        "witness": "refuted: a spread witness certifies an uncolourable part",
+        "repeat": f"refuted: forced part repeat at stage {last}",
+        "exhausted": f"exhausted at stage {last}: no surviving edges",
+        "survived": f"partition survived all {lb.params.r} stages (parts: {trace.used_parts})",
+    }[trace.outcome])
+    return 0 if trace.refuted else 1
 
 
 def _cmd_gen_planar(args, files: _Files) -> int:

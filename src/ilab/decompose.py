@@ -41,8 +41,10 @@ shrink, so the loop terminates in a factor.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -224,8 +226,6 @@ def _top_by_degree(
 def density_increment_step(b: BipartiteGraph, cfg: PipelineConfig) -> IncrementStep:
     """One step of the increment: a k-factor or a denser equal-part restriction."""
     n = len(b.left)
-    if n != len(b.right):
-        raise ValueError("parts must have equal size")
     d = b.density
     if d == 0:
         raise ValueError("density is zero")
@@ -309,10 +309,12 @@ def large_regular_subgraph(
 ) -> tuple[int, BipartiteGraph, list[TraceEntry]]:
     """Iterate the increment until a factor appears.
 
-    Returns ``(k, factor, trace)``; the factor is k-regular on the final
-    restricted pair, and the trace's potential d_i * n_i^delta is
-    non-decreasing. Part sizes strictly shrink, so termination is structural.
-    Raises DensityIncrementStuck if the clamped k = 1 regime dead-ends.
+    Returns ``(k, factor, trace)``. The factor is k-regular on the final
+    restricted pair by construction: a flow of k*n saturates every source
+    and sink arc, and a k = 1 factor is a perfect matching. The trace's
+    potential d_i * n_i^delta is non-decreasing; part sizes strictly shrink,
+    so termination is structural. Raises DensityIncrementStuck if the
+    clamped k = 1 regime dead-ends.
     """
     cfg = cfg or PipelineConfig()
     cur = b
@@ -320,11 +322,7 @@ def large_regular_subgraph(
     while True:
         step = density_increment_step(cur, cfg)
         if step.kind == "factor":
-            factor = step.factor
-            for x in factor.left + factor.right:
-                if factor.degree(x) != step.k:
-                    raise DichotomyBug(f"factor degree mismatch at {x}")
-            return step.k, factor, trace
+            return step.k, step.factor, trace
         cur = step.restriction
         trace.append(TraceEntry(len(cur.left), cur.density, cfg.delta, step.escape))
 
@@ -336,36 +334,26 @@ def large_regular_subgraph(
 def matching_decomposition(h: BipartiteGraph) -> list[list[tuple[int, int]]]:
     """Split a k-regular equal-part bipartite graph into k perfect matchings.
 
-    Hopcroft-Karp finds the first k - 1; each removal leaves the rest regular,
-    so after k - 1 every vertex has one edge left and those form the last.
+    ``find_k_factor(cur, 1)`` peels the first k - 1 off the remainder; each
+    removal leaves the rest regular (so Hall gives the next matching), and
+    after k - 1 every vertex has one edge left and those form the last.
     """
-    n = len(h.left)
-    if n != len(h.right):
+    if len(h.left) != len(h.right):
         raise ValueError("parts must have equal size")
-    if n == 0:
-        return []
-    degrees = {x: h.degree(x) for x in h.left + h.right}
-    k = degrees[h.left[0]]
-    bad = next((x for x, dx in degrees.items() if dx != k), None)
+    degrees = Counter(chain.from_iterable(h.edges))
+    k = degrees[h.left[0]] if h.left else 0
+    bad = next((x for x in h.left + h.right if degrees[x] != k), None)
     if bad is not None:
         raise ValueError(f"not regular: vertex {bad} has degree {degrees[bad]} != {k}")
-    lpos = {u: i for i, u in enumerate(h.left)}
-    rpos = {v: i for i, v in enumerate(h.right)}
-    remaining = set(h.edges)
-    matchings = []
+    cur, matchings = h, []
     for _ in range(k - 1):
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in sorted(remaining):
-            adj[lpos[u]].append(rpos[v])
-        match, _ = hopcroft_karp(n, n, adj)
-        if len(match) != n:
-            # cannot happen for a regular graph (Hall), so this is a bug trap
-            raise DichotomyBug("regular graph yielded a non-perfect matching")
-        matched = [(h.left[i], h.right[j]) for i, j in match.items()]
-        matchings.append(sorted(matched))
-        remaining -= set(matched)
-    if remaining:
-        matchings.append(sorted(remaining))
+        matchings.append(list(find_k_factor(cur, 1).factor.edges))
+        used = set(matchings[-1])
+        cur = BipartiteGraph._trusted(
+            h.left, h.right, tuple(e for e in cur.edges if e not in used)
+        )
+    if cur.edges:
+        matchings.append(list(cur.edges))
     return matchings
 
 
@@ -387,16 +375,19 @@ def colour_regular_bipartite(h: BipartiteGraph) -> EdgeColouring:
 def forest_partition(g: Graph) -> list[Graph]:
     """First-fit partition of the edges into forests (canonical edge order).
 
-    Each forest keeps one union-find parent list over the vertex ids, with
-    path-halving find inlined; an edge joins the first forest in which its
+    Each forest keeps one union-find parent list, with path-halving find
+    inlined, over the vertices that carry an edge, numbered once in id order
+    (not over all declared ids); an edge joins the first forest in which its
     ends lie in different trees. Each forest's edges are a sorted
     subsequence of ``g.edges``, so it is returned without re-validation.
     """
+    index = {v: i for i, v in enumerate(sorted(set(chain.from_iterable(g.edges))))}
     forests: list[list[Edge]] = []
     parents: list[list[int]] = []
     for e in g.edges:
+        a, b = index[e[0]], index[e[1]]
         for bucket, parent in zip(forests, parents):
-            x, y = e
+            x, y = a, b
             while parent[x] != x:
                 parent[x] = parent[parent[x]]
                 x = parent[x]
@@ -408,8 +399,8 @@ def forest_partition(g: Graph) -> list[Graph]:
                 bucket.append(e)
                 break
         else:
-            parent = list(range(g.vertex_count))
-            parent[e[0]] = e[1]
+            parent = list(range(len(index)))
+            parent[a] = b
             forests.append([e])
             parents.append(parent)
     return [Graph._trusted(g.vertex_count, tuple(es)) for es in forests]
@@ -423,8 +414,7 @@ def forest_partition(g: Graph) -> list[Graph]:
 class FactorPart:
     layer_bit: int
     k: int
-    subgraph: BipartiteGraph
-    colouring: EdgeColouring
+    colouring: EdgeColouring  # its graph is the factor, which spans its sides
     trace: list[TraceEntry]
 
 
@@ -472,7 +462,7 @@ def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> Decompositio
             colouring = EdgeColouring(
                 factor.to_graph(g.vertex_count), _matching_colours(factor)
             )
-            parts.append(FactorPart(layer.bit, k, factor, colouring, trace))
+            parts.append(FactorPart(layer.bit, k, colouring, trace))
             used = set(factor.edges)
             cur = BipartiteGraph._trusted(
                 left, right, tuple(e for e in cur.edges if e not in used)

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 Edge = tuple[int, int]
 
 # The most vertices an input file may declare (ilab.formats): decompose pads
-# ids to a power of two, and at 2^18 with all 18 layers in use it peaks at 224 MB
+# ids to a power of two, and at 2^18 with all 18 layers in use it peaks at 214 MB
 MAX_VERTICES = 1 << 18
 
 
@@ -241,16 +241,11 @@ class BipartiteGraph:
         return len(self.right_adjacency[label])
 
     def restrict(self, left: Iterable[int], right: Iterable[int]) -> "BipartiteGraph":
-        """Sub-pair induced on the given label subsets (order preserved from self).
-
-        The kept edges come from the kept labels' adjacency, walked in sorted
-        label order, so they are the sorted subsequence of ``self.edges``.
-        """
+        """Sub-pair induced on the given label subsets (order preserved from self)."""
         lset, rset = set(left), set(right)
         keep_l = tuple(u for u in self.left if u in lset)
         keep_r = tuple(v for v in self.right if v in rset)
-        adj = self.left_adjacency
-        keep_e = tuple((u, v) for u in sorted(keep_l) for v in adj[u] if v in rset)
+        keep_e = tuple(e for e in self.edges if e[0] in lset and e[1] in rset)
         return BipartiteGraph._trusted(keep_l, keep_r, keep_e)
 
     def to_graph(self, vertex_count: int | None = None) -> Graph:

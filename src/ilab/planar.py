@@ -236,7 +236,7 @@ def certified_colour_cap(g: Graph) -> int | None:
 @dataclass(frozen=True)
 class BoundReport:
     colour_count: int
-    bound: float  # (k/2) n + 1 - k
+    bound: float  # (k/2) n + 1 - k, or 0 on an edgeless graph
 
     @property
     def holds(self) -> bool:
@@ -244,5 +244,10 @@ class BoundReport:
 
 
 def verify_colour_bound(g: Graph, k: int, colour_count: int) -> BoundReport:
-    """Check colour_count <= (k/2) n + 1 - k (t <= 1.5 n - 2 at k = 3)."""
-    return BoundReport(colour_count=colour_count, bound=(k / 2) * g.vertex_count + 1 - k)
+    """Check colour_count <= (k/2) n + 1 - k (t <= 1.5 n - 2 at k = 3).
+
+    The bound assumes an edge; an edgeless graph uses no colours, so its
+    bound is 0 (the formula goes negative at n <= 1).
+    """
+    bound = (k / 2) * g.vertex_count + 1 - k if g.edges else 0
+    return BoundReport(colour_count=colour_count, bound=bound)

@@ -452,11 +452,27 @@ class ProbeTrace:
     stages: list[ProbeStage] = field(default_factory=list)
     witnesses: list[SpreadWitness] = field(default_factory=list)
     overruns: list[Overrun] = field(default_factory=list)
-    contradiction: bool = False  # a stage was forced to reuse a part
+
+    @property
+    def contradiction(self) -> bool:
+        """The last stage was forced to reuse a part."""
+        return bool(self.stages) and self.stages[-1].forced_repeat
+
+    @property
+    def outcome(self) -> str:
+        """The verdict: "witness" or "repeat" (both refute the partition),
+        "exhausted" (a stage met no surviving edge) or "survived"."""
+        if self.witnesses:
+            return "witness"
+        if self.contradiction:
+            return "repeat"
+        if self.stages and self.stages[-1].part is None:
+            return "exhausted"
+        return "survived"
 
     @property
     def refuted(self) -> bool:
-        return self.contradiction or bool(self.witnesses)
+        return self.outcome in ("witness", "repeat")
 
     @property
     def used_parts(self) -> list[int]:
@@ -578,7 +594,6 @@ def adversarial_probe(
             forced_repeat=forced,
         ))
         if forced:
-            trace.contradiction = True
             return trace
         cap = max(max(lb.ambient_degree(x) for x in report.vertices), 1)
         used.append((report.part, report, new_ground, cap))

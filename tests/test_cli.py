@@ -747,6 +747,13 @@ class TestPlanarCommands:
                            "--colours", "5")
         assert code == 1 and "5 colours EXCEEDS the bound" in out
 
+    @pytest.mark.parametrize("graph", ["1 0\n", "0 0\n"], ids=["n1", "n0"])
+    def test_edgeless_graph_holds_zero_colours(self, capsys, files, graph):
+        # (k/2)n+1-k is negative at n <= 1, but an edgeless graph uses no colours
+        code, out, _ = run(capsys, "bound", files("e.txt", graph), "--k", "3",
+                           "--colours", "0")
+        assert code == 0 and "0 colours within the bound" in out
+
     def test_bad_remove_index(self, capsys):
         code, _, err = run(capsys, "gen-planar", "--s", "3", "--remove", "7")
         assert code == 2 and "error:" in err

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -323,6 +324,30 @@ class TestRegularDecomposition:
             assert sorted(a for a, _ in m) == list(left) and sorted(y for _, y in m) == list(right)
         assert sorted(e for m in matchings for e in m) == sorted(edges)
 
+    def test_peel_matchings_are_frozen(self):
+        # every matching of the peel is pinned on seeded k-regular graphs
+        # (permuted circulants) for k = 2..6
+        rng = random.Random(16)
+        records = []
+        for k in range(2, 7):
+            for _ in range(8):
+                n = rng.randint(k + 1, 12)
+                lperm = rng.sample(range(n), n)
+                rperm = rng.sample(range(n, 2 * n), n)
+                offsets = rng.sample(range(n), k)
+                edges = tuple(
+                    (lperm[u], rperm[(u + d) % n]) for u in range(n) for d in offsets
+                )
+                b = BipartiteGraph(tuple(range(n)), tuple(range(n, 2 * n)), edges)
+                matchings = matching_decomposition(b)
+                assert len(matchings) == k
+                assert sorted(e for m in matchings for e in m) == list(b.edges)
+                records.append(matchings)
+        digest = hashlib.sha256(repr(records).encode()).hexdigest()
+        assert digest == (
+            "1073bcd5241afae35399a704d09eb748dc3221b4aa4e4a8249314dbf1b8391bd"
+        ), digest
+
     def test_colouring_is_interval_with_k_colours(self):
         # 4-regular circulant on 7+7
         left, right = tuple(range(7)), tuple(range(7, 14))
@@ -388,6 +413,22 @@ def test_forest_partition_matches_naive_first_fit():
             assert nx.is_forest(h)
 
 
+def test_forest_partition_memory_follows_touched_vertices():
+    # K_8 declared on 2^18 vertices: the union-find must not allocate a
+    # parent list over every declared id for each of its forests
+    g = Graph(1 << 18, tuple((u, v) for u in range(8) for v in range(u + 1, 8)))
+    tracemalloc.start()
+    try:
+        parts = forest_partition(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [f.edges for f in parts] == [
+        tuple(f) for f in naive_first_fit(Graph(8, g.edges))
+    ]
+    assert peak < 4 << 20, peak
+
+
 class TestDecomposeTheta:
     @pytest.mark.parametrize("n,p,seed", [(30, 0.2, 0), (48, 0.55, 1), (64, 0.9, 2)])
     def test_parts_are_interval_and_partition_exactly(self, n, p, seed):
@@ -410,9 +451,9 @@ class TestDecomposeTheta:
         factors = [p for p in rep.parts if isinstance(p, FactorPart)]
         assert factors, "dense input should exercise the factor route"
         for f in factors:
-            assert all(
-                f.subgraph.degree(v) == f.k for v in f.subgraph.left + f.subgraph.right
-            )
+            touched = {x for e in f.colouring.colours for x in e}
+            colours = list(range(1, f.k + 1))
+            assert all(f.colouring.vertex_colours(v) == colours for v in touched)
 
     def test_empty_graph(self):
         rep = decompose_theta(Graph(5, ()))

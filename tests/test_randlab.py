@@ -54,6 +54,19 @@ def planted_instance():
     return lb, parts
 
 
+# stage 1 takes the only part, and layer 2 has no edge left to search
+def empty_layer_instance():
+    ground = tuple(range(10))
+    layer1 = BipartiteGraph(ground, (10,), tuple((b, 10) for b in range(6)))
+    layer2 = BipartiteGraph(ground, (11,), ())
+    lb = LayeredBipartite(
+        LowerBoundParams(r=2, n=10, delta=0.5, epsilon=0.05, seed=0),
+        ((10,), (11,)),
+        (layer1, layer2),
+    )
+    return lb, {e: 0 for e in layer1.edges}
+
+
 class TestParams:
     def test_preset_formulas(self):
         p = LowerBoundParams.preset(3, 500, seed=2)
@@ -336,18 +349,24 @@ class TestProbe:
         assert last.forced_repeat and last.deletion_proportion == 1.0
 
     def test_empty_layer_exhausts_without_refuting(self):
-        ground = tuple(range(10))
-        layer1 = BipartiteGraph(ground, (10,), tuple((b, 10) for b in range(6)))
-        layer2 = BipartiteGraph(ground, (11,), ())
-        lb = LayeredBipartite(
-            LowerBoundParams(r=2, n=10, delta=0.5, epsilon=0.05, seed=0),
-            ((10,), (11,)),
-            (layer1, layer2),
-        )
-        parts = {e: 0 for e in layer1.edges}
-        trace = adversarial_probe(lb, parts)
+        trace = adversarial_probe(*empty_layer_instance())
         assert trace.stages[-1].part is None
         assert not trace.refuted and not trace.contradiction
+
+    @pytest.mark.parametrize("case", ["witness", "repeat", "exhausted", "survived"])
+    def test_outcome_is_the_one_verdict(self, case):
+        if case == "witness":
+            lb, parts = planted_instance()
+        elif case == "exhausted":
+            lb, parts = empty_layer_instance()
+        else:  # one part in all layers repeats; one part per layer survives
+            lb = generate(LowerBoundParams(r=3, n=300, delta=0.2, epsilon=0.005, seed=11))
+            per_layer = case == "survived"
+            parts = {e: i * per_layer for i, lg in enumerate(lb.layer_graphs) for e in lg.edges}
+        trace = adversarial_probe(lb, parts)
+        assert trace.outcome == case
+        assert trace.refuted == (case in ("witness", "repeat"))
+        assert trace.contradiction == (case == "repeat")
 
     def test_probe_is_deterministic(self):
         p = LowerBoundParams(r=3, n=300, delta=0.2, epsilon=0.005, seed=11)
