@@ -337,6 +337,8 @@ def _cmd_split(args, files: _Files) -> int:
 
 
 def _cmd_bound(args, files: _Files) -> int:
+    if args.colours is not None and args.colours < 0:
+        raise ValueError("--colours must be non-negative")
     g = _load_graph(files, args.graph)
     files.config.update(k=args.k, colours=args.colours)
     ok, witness = hereditary_sparsity(g, args.k)

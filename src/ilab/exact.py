@@ -58,9 +58,10 @@ and the cap on edge 0 alone halves the search.
 The function ``max_colours`` tries each component's palettes t downward from
 ``min(W, cap)`` and stops at the first t that has a colouring using all of
 ``0..t-1``. ``cap`` is ``planar.certified_colour_cap``, floor((3n - 4) / 2)
-for a component on n <= 20 vertices that is hereditarily 3-sparse (planar
-ones included), and W otherwise. No t above the cap can succeed, so the
-first success is the maximum. Palettes are tried one by one, not bisected:
+for a component on n vertices that is hereditarily 3-sparse (planar ones
+included, unless their 4-core is too large for the sparsity check), and W
+otherwise. No t above the cap can succeed, so the first success is the
+maximum. Palettes are tried one by one, not bisected:
 a palette can fail between two that succeed (t = 12 on the s = 5 extremal
 planar graph, between 11 and 13).
 

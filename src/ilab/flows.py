@@ -1,4 +1,9 @@
-"""Small flow/matching cores used by the decomposition pipeline.
+"""Small flow/matching cores.
+
+``hopcroft_karp`` finds the perfect matchings of the decomposition pipeline
+(k = 1 factors). ``Dinic`` serves its k >= 2 factors and the pinned-edge
+closures of ``planar.hereditary_sparsity``, whose undirected arcs pass a
+capacity both ways.
 
 Both are index-based: callers translate vertex labels to 0..n-1 first. Each
 hands out the min cut that its own last search found, so no caller searches
@@ -21,14 +26,15 @@ class Dinic:
         self.cap: list[int] = []
         self.adj: list[list[int]] = [[] for _ in range(n)]
 
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        """Add u->v with capacity cap; returns the edge index (reverse is +1)."""
+    def add_edge(self, u: int, v: int, cap: int, back: int = 0) -> int:
+        """Add u->v with capacity cap and v->u with capacity back (0 for a
+        directed arc); returns the edge index (reverse is +1)."""
         idx = len(self.to)
         self.to.append(v)
         self.cap.append(cap)
         self.adj[u].append(idx)
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(back)
         self.adj[v].append(idx + 1)
         return idx
 
@@ -98,7 +104,8 @@ class Dinic:
         return {x for x, lv in enumerate(self.level) if lv >= 0}
 
     def flow_on(self, idx: int) -> int:
-        """Flow currently carried by edge idx (its reverse edge's capacity)."""
+        """Flow currently carried by directed edge idx (its reverse edge's
+        capacity, which starts at 0)."""
         return self.cap[idx ^ 1]
 
 

@@ -27,7 +27,7 @@ from ilab.formats import (
     serialize_graph_text,
     serialize_layered_json,
 )
-from ilab.planar import FamilySpec, extremal_family
+from ilab.planar import SPARSITY_CORE_EDGE_LIMIT, FamilySpec, extremal_family
 from ilab.randlab import LowerBoundParams, generate
 
 TRIANGLE = "3 3\n0 1\n0 2\n1 2\n"
@@ -741,6 +741,28 @@ class TestPlanarCommands:
         )
         code, out, _ = run(capsys, "bound", files("k5.txt", k5), "--k", "3")
         assert code == 1 and "sparsity violated: subset (0, 1, 2, 3, 4)" in out
+
+    def test_bound_past_twenty_vertices(self, capsys, tmp_path):
+        g = str(tmp_path / "s15.txt")
+        run(capsys, "gen-planar", "--s", "15", "-o", g)
+        code, out, _ = run(capsys, "bound", g, "--k", "3")
+        assert code == 0
+        assert "hereditary sparsity holds for k=3; colour bound (k/2)n+1-k = 43" in out
+
+    def test_bound_refuses_a_core_above_the_limit(self, capsys, files):
+        n = SPARSITY_CORE_EDGE_LIMIT // 2 + 1  # a 4-regular circulant, 2n edges
+        edges = sorted({tuple(sorted((i, (i + d) % n))) for i in range(n) for d in (1, 2)})
+        text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        code, out, err = run(capsys, "bound", files("ring.txt", text), "--k", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"4-core has {2 * n} edges" in err
+
+    def test_bound_negative_colour_count_is_usage_error(self, capsys, files):
+        code, out, err = run(capsys, "bound", files("p3.txt", "3 2\n0 1\n1 2\n"),
+                             "--k", "3", "--colours", "-3")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_bound_overclaim(self, capsys, files):
         code, out, _ = run(capsys, "bound", files("k4.txt", K4), "--k", "3",

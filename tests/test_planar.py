@@ -1,27 +1,76 @@
-"""Extremal family, unique-colour splitting, sparsity, and the colour bound."""
+"""Extremal family, unique-colour splitting, sparsity, and the colour bound.
+
+``exhaustive_sparsity`` is the 2^n subset loop that ``hereditary_sparsity``
+ran before its min-cut rewrite, kept as an oracle that shares no code with
+the check.
+"""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_graph
 from ilab import (
     FamilySpec,
     extremal_family,
     hereditary_sparsity,
     max_colours,
+    planar,
     unique_colour_split,
     verify,
     verify_colour_bound,
 )
 from ilab.colouring import EdgeColouring, count_colours
 from ilab.graphs import Graph, induced_subgraph
-from ilab.planar import certified_colour_cap
+from ilab.planar import SPARSITY_CORE_EDGE_LIMIT, certified_colour_cap
 
 TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
 K5 = Graph(5, tuple(itertools.combinations(range(5), 2)))
 C4 = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+
+
+def circulant(n, steps):
+    edges = {tuple(sorted((i, (i + d) % n))) for i in range(n) for d in steps}
+    return Graph(n, tuple(edges))
+
+
+# 4-regular, so its 4-core is all of it: 2n = SPARSITY_CORE_EDGE_LIMIT + 2 edges
+ABOVE_CORE_LIMIT = circulant(SPARSITY_CORE_EDGE_LIMIT // 2 + 1, (1, 2))
+
+
+def exhaustive_sparsity(g, k):
+    """Whether every S with |S| >= 3 has e(S) <= k(|S| - 2), over all 2^n
+    subsets in bitmask order."""
+    n = g.vertex_count
+    adj = [0] * n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    inner = [0] * (1 << n)  # inner[mask] = e(S) for S = mask
+    for mask in range(1, 1 << n):
+        v = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << v)
+        inner[mask] = inner[rest] + (adj[v] & rest).bit_count()
+        size = mask.bit_count()
+        if size >= 3 and inner[mask] > k * (size - 2):
+            return False
+    return True
+
+
+def assert_agrees_with_oracle(g, k):
+    ok, witness = hereditary_sparsity(g, k)
+    assert ok == exhaustive_sparsity(g, k), (g, k)
+    if ok:
+        assert witness is None
+    else:
+        inside = set(witness)
+        assert list(witness) == sorted(inside)
+        e = sum(1 for u, v in g.edges if u in inside and v in inside)
+        assert len(inside) >= 3 and e > k * (len(inside) - 2), (g, k, witness)
+    return ok
 
 
 def curved_subsets(s):
@@ -182,7 +231,7 @@ class TestSparsity:
     def test_c4(self):
         assert hereditary_sparsity(C4, 3)[0]
         ok, witness = hereditary_sparsity(C4, 1)
-        assert not ok and witness == (0, 1, 2)
+        assert not ok and witness == (0, 1, 2, 3)  # 4 > 1 * 2
 
     def test_witness_actually_violates(self):
         ok, witness = hereditary_sparsity(K5, 3)
@@ -205,10 +254,54 @@ class TestSparsity:
         assert hereditary_sparsity(sub, 2)[0]
 
     def test_guards(self):
-        with pytest.raises(ValueError, match="20 vertices"):
-            hereditary_sparsity(Graph(21, ()), 3)
+        edges = SPARSITY_CORE_EDGE_LIMIT + 2
+        with pytest.raises(ValueError, match=f"4-core has {edges} edges"):
+            hereditary_sparsity(ABOVE_CORE_LIMIT, 3)
         with pytest.raises(ValueError, match="non-negative"):
             hereditary_sparsity(TRIANGLE, -1)
+
+    def test_agrees_with_the_oracle_on_the_atlas(self):
+        networkx = pytest.importorskip("networkx")
+        for a in networkx.graph_atlas_g():  # every graph on 0..7 vertices
+            g = Graph(a.number_of_nodes(), tuple(a.edges()))
+            for k in range(5):
+                assert_agrees_with_oracle(g, k)
+
+    def test_agrees_with_the_oracle_on_random_graphs(self):
+        for seed in range(300):
+            rng = random.Random(seed)
+            n, p = rng.randint(8, 12), rng.choice((0.2, 0.35, 0.5, 0.7))
+            g = Graph(n, random_graph(n, p, seed))
+            for k in range(5):
+                assert_agrees_with_oracle(g, k)
+
+    def test_min_cuts_find_dense_blocks_in_sparse_cores(self, monkeypatch):
+        # a sparse circulant plus a dense block: the 3-vertex checks and the
+        # core's edge count miss most blocks, and a pinned-edge closure
+        # must find them
+        sides = []
+        closure = planar._pinned_closure
+
+        def recorded(*args):
+            sides.append(closure(*args))
+            return sides[-1]
+
+        monkeypatch.setattr(planar, "_pinned_closure", recorded)
+        for seed in range(300):
+            rng = random.Random(seed)
+            n, k = rng.randint(10, 13), rng.choice((2, 3, 4))
+            base = rng.randint(6, n - 4)
+            ring = circulant(base, (1, 2) if k >= 3 else (1, 3)).edges
+            pairs = itertools.combinations(range(base, n), 2)
+            block = [e for e in pairs if rng.random() < 0.8]
+            links = [(rng.randrange(base), rng.randrange(base, n))
+                     for _ in range(rng.randint(0, 3))]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            edges = {tuple(sorted((perm[u], perm[v])))
+                     for u, v in (*ring, *block, *links)}
+            assert_agrees_with_oracle(Graph(n, tuple(edges)), k)
+        assert sum(side is not None for side in sides) >= 10
 
 
 class TestPlanarity:
@@ -223,8 +316,7 @@ class TestPlanarity:
             g, _ = extremal_family(FamilySpec(s, removed, odd))
             planar, _ = networkx.check_planarity(networkx.Graph(g.edges))
             assert planar, (s, odd, curved)
-            if g.vertex_count <= 20:
-                assert hereditary_sparsity(g, 3)[0], (s, odd, curved)
+            assert hereditary_sparsity(g, 3)[0], (s, odd, curved)
 
 
 class TestCertifiedCap:
@@ -237,7 +329,17 @@ class TestCertifiedCap:
     def test_no_cap_where_the_theorem_is_unchecked(self):
         assert certified_colour_cap(K5) is None  # not 3-sparse
         assert certified_colour_cap(Graph(3, ())) is None  # no edges
-        assert certified_colour_cap(Graph(21, ((0, 1),))) is None  # beyond the check
+        assert certified_colour_cap(ABOVE_CORE_LIMIT) is None  # the check refuses
+
+    def test_cap_past_twenty_vertices(self):
+        assert certified_colour_cap(Graph(21, ((0, 1),))) == 29
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+    def test_cap_is_the_family_count_up_to_s30(self, odd):
+        for s in range(11, 31):
+            spec = FamilySpec(s, odd=odd)
+            g, _ = extremal_family(spec)
+            assert certified_colour_cap(g) == spec.colour_count, s
 
 
 class TestColourBound:
