@@ -135,13 +135,10 @@ def _cmd_solve(args, files: _Files) -> int:
     files.config.update(mode=args.mode, kmax=args.kmax, max_colours=args.max_colours)
     try:
         if args.mode == "colourable":
-            try:
-                c = find_interval_colouring(g, budget, max_colours=args.max_colours)
-            except ValueError as exc:
-                print(f"not interval colourable within the palette: {exc}")
-                return 1
+            c = find_interval_colouring(g, budget, max_colours=args.max_colours)
             if c is None:
-                print("not interval colourable")
+                cap = args.max_colours
+                print("not interval colourable" + ("" if cap is None else f" within {cap} colours"))
                 return 1
             print(f"interval colouring with {count_colours(c)} colours")
             if args.out:

@@ -108,10 +108,11 @@ def bit_split(g: Graph) -> list[BitLayer]:
         bit = ((u ^ v) & -(u ^ v)).bit_length() - 1
         lo_side, hi_side = (u, v) if not (u >> bit) & 1 else (v, u)
         by_bit.setdefault(bit, []).append((lo_side, hi_side))
+    ids = tuple(range(full))  # every layer shares these int objects
     layers = []
     for bit in sorted(by_bit):
-        left = tuple(v for v in range(full) if not (v >> bit) & 1)
-        right = tuple(v for v in range(full) if (v >> bit) & 1)
+        left = tuple(v for v in ids if not (v >> bit) & 1)
+        right = tuple(v for v in ids if (v >> bit) & 1)
         edges = tuple(sorted(by_bit[bit]))
         layers.append(BitLayer(bit, BipartiteGraph._trusted(left, right, edges)))
     return layers

@@ -22,8 +22,6 @@ All three searches colour a graph through one routine, ``_colour_components``,
 which runs that pinned search per component on a shared node/time meter.
 Both depth-first searches (colours per edge, and parts per edge for
 thickness) are explicit-stack loops, so no edge count hits a recursion limit.
-Only ``find_interval_colouring`` may narrow the window (its ``max_colours``
-cap); exhausting a narrowed window raises SearchBudgetExceeded, never None.
 
 Two refutations cost less than the search above.
 
@@ -34,8 +32,7 @@ are deg(v) <= D consecutive integers, so their residues mod D are distinct.
 Hence each residue class is a matching, and a matching has at most
 floor(n / 2) edges, so m <= D * floor(n / 2). ``_colour_components`` returns
 None, at 0 nodes, when some component has more edges than that, before it
-searches any. The argument does not depend on the window, so this "none" is
-sound under a ``max_colours`` cap too.
+searches any.
 
 Both searches explore one mirror half. Reflect a colour c of the window
 ``lo..hi`` to lo + hi - c. The window, every per-vertex window constraint,
@@ -55,15 +52,18 @@ the whole window would. A palette [0, t-1] with t odd halves its subtree
 with edge 0 on the centre the same way; with t even no colour is the centre,
 and the cap on edge 0 alone halves the search.
 
-The function ``max_colours`` tries each component's palettes t downward from
-``min(W, cap)`` and stops at the first t that has a colouring using all of
-``0..t-1``. ``cap`` is ``planar.certified_colour_cap``, floor((3n - 4) / 2)
-for a component on n vertices that is hereditarily 3-sparse (planar ones
-included, unless their 4-core is too large for the sparsity check), and W
-otherwise. No t above the cap can succeed, so the first success is the
-maximum. Palettes are tried one by one, not bisected:
-a palette can fail between two that succeed (t = 12 on the s = 5 extremal
-planar graph, between 11 and 13).
+Palette t of a component is ``0..t-1`` with both ends used, so its colourings
+use exactly t colours, and every interval colouring of a component uses
+between its max degree D and W colours. ``max_colours`` walks each
+component's palettes t down from ``min(W, cap)`` to the first success above
+its first colouring's count; ``cap`` is ``planar.certified_colour_cap``,
+floor((3n - 4) / 2) for a component on n vertices that is hereditarily
+3-sparse (planar ones included, unless their 4-core is too large for the
+sparsity check), and W otherwise, so the first success is the maximum.
+``find_interval_colouring`` under a cap N keeps a first colouring within N
+colours and otherwise walks ``min(N, W)`` down to D, exhaustively. Palettes
+are tried one by one, not bisected: a palette can fail between two that
+succeed (t = 12 on the s = 5 extremal planar graph, between 11 and 13).
 
 Thickness enumerates edge-to-part assignments in restricted-growth order
 (edge 0 in part 0; a new part index may appear only after all smaller ones),
@@ -253,17 +253,14 @@ def _search_component(
 
 
 def _colour_components(
-    g: Graph, meter: _Meter, cap: int | None = None
+    g: Graph, meter: _Meter
 ) -> list[tuple[list[Edge], dict[int, int], int, dict[Edge, int]]] | None:
-    """Colour every component of ``g`` in its sound window, narrowed to ``cap``.
+    """Colour every component of ``g`` in its sound window ``[-(W-1), W-1]``.
 
-    Per component with edges: its connected edge order, degree table, sound
-    window ``W`` and a colouring pinned to 0 on the first edge within
-    ``[-(w-1), w-1]``, ``w = min(W, cap)``. None means some component has no
-    interval colouring: one is overfull, whatever ``cap`` is (checked for
-    every component before any is searched), or a search exhausted the sound
-    window. Exhausting a narrowed window proves nothing, so it raises
-    SearchBudgetExceeded instead.
+    Per component with edges: its connected edge order, degree table, W and a
+    colouring pinned to 0 on its first edge. None means some component has
+    no interval colouring: one is overfull (checked for every component
+    before any is searched), or a search exhausted its window.
     """
     components = [(edges, Counter(x for e in edges for x in e))
                   for edges in _connected_edge_order(g.edges)]
@@ -272,17 +269,21 @@ def _colour_components(
     found = []
     for edges, deg in components:
         window = min(2 * len(deg), len(edges))
-        w = window if cap is None else min(cap, window)
-        sol = _search_component(edges, deg, lo=-(w - 1), hi=w - 1, meter=meter)
+        sol = _search_component(edges, deg, lo=-(window - 1), hi=window - 1, meter=meter)
         if sol is None:
-            if w < window:
-                raise SearchBudgetExceeded(
-                    f"palette budget {w} below sound window {window}; "
-                    "search exhausted inconclusively"
-                )
             return None
         found.append((edges, deg, window, sol))
     return found
+
+
+def _first_palette(edges: list[Edge], deg: dict[int, int], top: int, stop: int, meter: _Meter):
+    """The first t from ``top`` down to ``stop`` (exclusive) whose palette
+    ``0..t-1`` colours the component using both ends, with that colouring."""
+    for t in range(top, stop, -1):
+        sol = _search_component(edges, deg, 0, t - 1, meter, palette=True)
+        if sol is not None:
+            return t, sol
+    return None
 
 
 def find_interval_colouring(
@@ -290,19 +291,29 @@ def find_interval_colouring(
 ) -> EdgeColouring | None:
     """An interval colouring of ``g``, or None if there is none.
 
-    ``max_colours`` caps the distinct colours per component; it must be at
-    least the max degree. None is returned for a graph with an overfull
-    component (more edges than max degree times half its vertex count,
-    rounded down), whatever the cap, and otherwise only after an exhaustive
-    search of a component's sound window; exhausting a window the cap
-    narrowed, or a budget limit that bites first, raises SearchBudgetExceeded.
+    With ``max_colours`` = N every component's colouring starts at 0 and uses
+    at most N colours, and None means some component has none that does (at
+    0 nodes when N is below the max degree). An overfull component (more
+    edges than max degree times half its vertex count, rounded down) gives
+    None before any search; a budget limit that bites first raises
+    SearchBudgetExceeded.
     """
     if max_colours is not None and max_colours < g.max_degree:
-        raise ValueError(f"max_colours={max_colours} below max degree {g.max_degree}")
-    found = _colour_components(g, _Meter(budget or SearchBudget()), max_colours)
+        return None
+    meter = _Meter(budget or SearchBudget())
+    found = _colour_components(g, meter)
     if found is None:
         return None
-    return EdgeColouring(g, {e: c for *_, sol in found for e, c in sol.items()})
+    colours: dict[Edge, int] = {}
+    for edges, deg, window, sol in found:
+        if max_colours is not None and len(set(sol.values())) > max_colours:
+            hit = _first_palette(edges, deg, min(max_colours, window), max(deg.values()) - 1, meter)
+            if hit is None:
+                return None
+            sol = hit[1]
+        low = 0 if max_colours is None else min(sol.values())
+        colours.update({e: c - low for e, c in sol.items()})
+    return EdgeColouring(g, colours)
 
 
 def max_colours(
@@ -334,11 +345,9 @@ def max_colours(
                 f"internal error: a colouring with {best_t} colours exceeds "
                 f"the certified cap {cap}"
             )
-        for t_try in range(top, best_t, -1):
-            sol = _search_component(edges, deg, 0, t_try - 1, meter, palette=True)
-            if sol is not None:
-                best_t, best = t_try, sol
-                break
+        hit = _first_palette(edges, deg, top, best_t, meter)
+        if hit is not None:
+            best_t, best = hit
         shift = offset - min(best.values())
         combined.update({e: c + shift for e, c in best.items()})
         offset += best_t
@@ -354,8 +363,6 @@ class ThicknessResult:
     theta: int
     partition: EdgePartition
     colourings: list[EdgeColouring]  # one per part, aligned with part indices
-    exhausted: bool  # True if theta is only an upper bound (a smaller k was
-    # abandoned on budget rather than refuted)
     nodes: int = 0
 
 
@@ -365,11 +372,8 @@ def exact_thickness(
     """Minimum number of interval-colourable parts partitioning E(g).
 
     Returns None when every k <= k_max is exhaustively refuted ("exceeds
-    k_max"); raises SearchBudgetExceeded if the budget dies first. The
-    ``exhausted`` flag marks an uncertified minimum (a smaller k was abandoned
-    on budget while a larger one succeeded) — it cannot currently arise
-    because budget exhaustion aborts the whole call, but the field keeps the
-    report format stable.
+    k_max"); raises SearchBudgetExceeded if the budget dies first, so a
+    returned theta is always the certified minimum.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -381,7 +385,7 @@ def _thickness(g: Graph, k_max: int, meter: _Meter) -> ThicknessResult | None:
     m = g.edge_count
     if m == 0:
         empty = EdgePartition(g, {}, 0)
-        return ThicknessResult(0, empty, [], False, meter.nodes)
+        return ThicknessResult(0, empty, [], meter.nodes)
     memo: dict[frozenset[Edge], EdgeColouring | None] = {}
     edges = list(g.edges)
 
@@ -416,7 +420,7 @@ def _thickness(g: Graph, k_max: int, meter: _Meter) -> ThicknessResult | None:
                     part_of = {e: idx for idx, part in enumerate(parts) for e in part}
                     partition = EdgePartition(g, part_of, len(parts))
                     colourings = [colouring_of(part) for part in parts]
-                    return ThicknessResult(len(parts), partition, colourings, False, meter.nodes)
+                    return ThicknessResult(len(parts), partition, colourings, meter.nodes)
                 i -= 1
                 continue
             p = next(choices[i], None)
@@ -450,8 +454,8 @@ def peel_sequence(
 
     def theta_of(h: Graph) -> int:
         res = _thickness(h, k_cap, meter)
-        if res is None:  # cannot happen below sqrt(m/2)+2, but stay honest
-            raise SearchBudgetExceeded(f"thickness exceeds k_max={k_cap}")
+        if res is None:  # forests give theta <= sqrt(m/2) + 1 < k_cap
+            raise RuntimeError(f"internal error: thickness exceeds k_max={k_cap}")
         return res.theta
 
     out: list[tuple[int | None, int]] = [(None, theta_of(g))]

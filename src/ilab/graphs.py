@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 Edge = tuple[int, int]
 
 # The most vertices an input file may declare (ilab.formats): decompose pads
-# ids to a power of two, and at 2^18 with all 18 layers in use it peaks at 214 MB
+# ids to a power of two, and at 2^18 with all 18 layers in use it peaks at 80 MB
 MAX_VERTICES = 1 << 18
 
 

@@ -277,9 +277,7 @@ class DenseSubgraphReport:
 
 
 def find_dense_monochromatic(
-    b: BipartiteGraph,
-    part_of: Mapping[Edge, int],
-    hyp: DensePartHypothesis | None = None,
+    b: BipartiteGraph, part_of: Mapping[Edge, int]
 ) -> DenseSubgraphReport:
     """Second-neighbourhood subgraph of the busiest part.
 
@@ -287,7 +285,7 @@ def find_dense_monochromatic(
     the left vertex x0 maximising the number of part walks of length two
     starting at it (lowest id on ties), and returns K on x0, its part
     neighbourhood, and the part neighbourhood of that. K is connected with
-    diameter at most 4, and when `b` satisfies the hypotheses in `hyp` its
+    diameter at most 4, and when `b` satisfies a `DensePartHypothesis` its
     left portion captures at least |C| / (2 r^2) vertices — the hypotheses
     are the caller's to check, this function only does the construction.
     """

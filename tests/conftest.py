@@ -103,7 +103,14 @@ def _complete_starts(edges, degree, start, order=None):
 
 
 def oracle_interval(n, edges):
-    """(colourable, max distinct colours or None) for a CONNECTED graph.
+    """(colourable, max distinct colours or None) for a CONNECTED graph."""
+    counts = oracle_colour_counts(n, edges)
+    return bool(counts), max(counts, default=None)
+
+
+def oracle_colour_counts(n, edges):
+    """Every number of distinct colours an interval colouring of a CONNECTED
+    graph uses; empty when it has none.
 
     Enumerates every tuple of per-vertex window starts inside the trivial
     palette [0, m) (any colouring can be translated there, and distinct
@@ -111,14 +118,14 @@ def oracle_interval(n, edges):
     """
     m = len(edges)
     if m == 0:
-        return True, 0
+        return {0}
     degree = defaultdict(int)
     for u, v in edges:
         degree[u] += 1
         degree[v] += 1
     verts = sorted({x for e in edges for x in e})
     ranges = [range(0, m - degree[v] + 1) for v in verts]
-    best = None
+    counts = set()
     for combo in itertools.product(*ranges):
         if min(combo) != 0:
             continue
@@ -128,9 +135,8 @@ def oracle_interval(n, edges):
         cols = set()
         for v in verts:
             cols.update(range(start[v], start[v] + degree[v]))
-        if best is None or len(cols) > best:
-            best = len(cols)
-    return (best is not None), best
+        counts.add(len(cols))
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def random_bipartite(a, p, seed, defect=None):
 def test_01_triangle_uncolourable_but_thickness_two():
     assert find_interval_colouring(TRIANGLE) is None
     result = exact_thickness(TRIANGLE)
-    assert result.theta == 2 and not result.exhausted
+    assert result.theta == 2
     covered = []
     for c in result.colourings:
         assert verify(c).interval
@@ -281,7 +281,7 @@ def test_08_dense_part_guarantee():
             b, alpha=hyp.alpha, p=0.3, trials=40, seed=seed
         ).ok
         parts = {canonical_edge(u, v): rng.randrange(3) for u, v in edges}
-        rep = find_dense_monochromatic(b, parts, hyp)
+        rep = find_dense_monochromatic(b, parts)
         assert rep.diameter <= 4
         assert rep.ground_hits >= target, (seed, rep.ground_hits)
     record(

@@ -116,14 +116,25 @@ class TestSolve:
 
     def test_palette_below_degree(self, capsys, files):
         code, out, _ = run(capsys, "solve", files("k4.txt", K4), "--max-colours", "2")
-        assert code == 1
-        assert out.startswith("not interval colourable within the palette")
+        assert code == 1 and out == "not interval colourable within 2 colours\n"
 
-    def test_budget_exhaustion(self, capsys, files):
+    def test_capped_refutation_is_a_negative_answer(self, capsys, files):
         # Petersen is not overfull, so refuting it needs its whole window
         g = files("petersen.txt", PETERSEN)
         code, out, _ = run(capsys, "solve", g, "--max-colours", "3")
-        assert code == 3 and out.startswith("budget exhausted")
+        assert code == 1 and out == "not interval colourable within 3 colours\n"
+
+    def test_cap_below_the_only_colour_count(self, capsys, files):
+        # every interval colouring of this graph uses exactly 5 colours
+        g = files("g.txt", "5 8\n0 1\n0 2\n0 4\n1 2\n1 4\n2 3\n2 4\n3 4\n")
+        code, out, _ = run(capsys, "solve", g, "--max-colours", "4")
+        assert code == 1 and out == "not interval colourable within 4 colours\n"
+        code, out, _ = run(capsys, "solve", g, "--max-colours", "5")
+        assert code == 0 and out == "interval colouring with 5 colours\n"
+
+    def test_cap_below_one_is_usage_error(self, capsys, files):
+        code, out, err = run(capsys, "solve", files("k4.txt", K4), "--max-colours", "0")
+        assert code == 2 and out == "" and err == "error: max_colours must be >= 1\n"
 
     @pytest.mark.parametrize("mode", ["tmax", "theta"])
     def test_palette_cap_is_colourable_mode_only(self, capsys, files, mode):

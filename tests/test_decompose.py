@@ -291,6 +291,22 @@ class TestBitSplit:
             for v in layer.graph.right:
                 assert v >> layer.bit & 1 == 1
 
+    def test_layers_share_the_padded_ids(self):
+        # one edge in each of 16 layers over 2^16 ids: the layers' tuples hold
+        # 16 * 2^16 pointers (8 MiB), and the id ints are made once (2 MiB);
+        # fresh ints for every layer took 40 MiB
+        full = 1 << 16
+        g = Graph(full, tuple((0, 1 << bit) for bit in range(16)))
+        tracemalloc.start()
+        try:
+            layers = bit_split(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [layer.bit for layer in layers] == list(range(16))
+        assert all(len(layer.graph.left) == full // 2 for layer in layers)
+        assert peak < 16 << 20, peak
+
 
 class TestRegularDecomposition:
     def test_k33_splits_into_three_matchings(self):

@@ -17,7 +17,13 @@ from collections import Counter
 
 import pytest
 
-from conftest import connected_classes, oracle_interval, oracle_interval_naive, random_graph
+from conftest import (
+    connected_classes,
+    oracle_colour_counts,
+    oracle_interval,
+    oracle_interval_naive,
+    random_graph,
+)
 from ilab import (
     FamilySpec,
     Graph,
@@ -68,6 +74,33 @@ def test_search_agrees_with_start_tuple_oracle_up_to_5_vertices():
                 assert res is None
 
 
+def test_colour_cap_agrees_with_every_achievable_count_up_to_5_vertices():
+    for n in range(2, 6):
+        for edges in connected_classes(n):
+            g = Graph(n, edges)
+            counts = oracle_colour_counts(n, edges)
+            for cap in range(1, len(edges) + 1):
+                c = find_interval_colouring(g, max_colours=cap)
+                assert (c is None) == all(t > cap for t in counts), (edges, cap)
+                if c is not None:
+                    assert verify(c).interval and count_colours(c) <= cap, (edges, cap)
+
+
+def test_colour_cap_holds_for_the_whole_graph_across_components():
+    # each component's colouring starts at 0, so the union stays within the
+    # cap: left at their pinned windows, 16 of these 558 calls would exceed it
+    classes = [(n, edges) for n in range(2, 5) for edges in connected_classes(n)]
+    for (n1, e1), (n2, e2) in itertools.product(classes, repeat=2):
+        g = Graph(n1 + n2, tuple(e1) + tuple((u + n1, v + n1) for u, v in e2))
+        fewest = max(min(oracle_colour_counts(n1, e1), default=g.edge_count + 1),
+                     min(oracle_colour_counts(n2, e2), default=g.edge_count + 1))
+        for cap in range(1, g.edge_count + 1):
+            c = find_interval_colouring(g, max_colours=cap)
+            assert (c is None) == (cap < fewest), (g.edges, cap)
+            if c is not None:
+                assert verify(c).interval and count_colours(c) <= cap, (g.edges, cap)
+
+
 def test_naive_enumeration_agrees_on_its_range():
     for n in range(1, 6):
         for edges in connected_classes(n):
@@ -84,7 +117,6 @@ class TestFrozenValues:
     def test_triangle_thickness_two_with_verified_parts(self):
         res = exact_thickness(TRIANGLE)
         assert res.theta == 2
-        assert not res.exhausted
         for part in res.colourings:
             assert verify(part).interval
         covered = sorted(e for part in res.colourings for e in part.colours)
@@ -115,19 +147,18 @@ def test_disconnected_components_translate_apart():
     assert verify(w).interval and count_colours(w) == 4
 
 
-def test_explicit_budget_below_sound_window_raises_not_none():
-    # Petersen has no colouring but is not overfull (15 = 3 * (10 // 2)), so
-    # proving "none" needs the full palette window
-    with pytest.raises(SearchBudgetExceeded):
-        find_interval_colouring(PETERSEN, max_colours=3)
+def test_cap_below_every_colouring_is_none():
+    # Petersen has no colouring but is not overfull (15 = 3 * (10 // 2)): the
+    # whole window is refuted first, so a cap changes nothing
+    assert find_interval_colouring(PETERSEN, max_colours=3) is None
 
 
 def test_overfull_component_is_refuted_without_search():
     # K7 has 21 > 6 * (7 // 2) edges; the search would take 9.64M nodes
     assert find_interval_colouring(K7, budget=SearchBudget(node_limit=1)) is None
     assert find_interval_colouring(C5, max_colours=3) is None
-    # Petersen comes first and cannot be refuted under a cap of 6; the
-    # overfull K7 after it settles the answer before either is searched
+    # Petersen comes first and takes 2381 nodes to refute; the overfull K7
+    # after it settles the answer before either is searched
     shifted = tuple((u + 10, v + 10) for u, v in K7.edges)
     assert find_interval_colouring(Graph(17, PETERSEN.edges + shifted), max_colours=6) is None
     meter = exact._Meter(SearchBudget())
@@ -149,9 +180,9 @@ def test_theta_of_k7_fits_the_default_budget():
     assert all(verify(c).interval for c in res.colourings)
 
 
-def test_palette_below_max_degree_is_a_value_error():
-    with pytest.raises(ValueError):
-        find_interval_colouring(K4, max_colours=2)
+def test_palette_below_max_degree_is_none_at_0_nodes():
+    # K4's first colouring alone takes 6 nodes, one per edge
+    assert find_interval_colouring(K4, budget=SearchBudget(node_limit=1), max_colours=2) is None
 
 
 def test_node_limit_exhaustion():
@@ -165,9 +196,9 @@ def test_thickness_searches_each_part_once(monkeypatch):
     searched = Counter()
     colour_components = exact._colour_components
 
-    def counted(g, meter, cap=None):
+    def counted(g, meter):
         searched[g.edges] += 1
-        return colour_components(g, meter, cap)
+        return colour_components(g, meter)
 
     monkeypatch.setattr(exact, "_colour_components", counted)
     res = exact_thickness(K5)
