@@ -16,12 +16,16 @@ k = max(1, floor(d*n/100)), or the subset criterion
 
     k*n + e(X, Y) >= k|X| + k|Y|   for all X in one class, Y in the other
 
-fails; the violating pair is read off the min cut of the flow network
-(source -> left with capacity k, edges with capacity 1, right -> sink with
-capacity k). When k = 1 no network is built: the factor is a perfect
-matching (Hopcroft–Karp), and failing that the same pair comes from the last
-Hopcroft–Karp search, which reaches the min cut's left side by alternating
-paths out of the unmatched left vertices. From a violation
+fails. Each step first reads one degree table: a vertex of degree < k rules
+out a k-factor, and the deficient vertices of one class against the whole
+other class violate the criterion, so no matching or flow is run. Only a
+layer with no deficient vertex reaches the factor search, and there the
+violating pair is read off the min cut of the flow network (source -> left
+with capacity k, edges with capacity 1, right -> sink with capacity k). When
+k = 1 no network is built: the factor is a perfect matching (Hopcroft–Karp),
+and failing that the same pair comes from the last Hopcroft–Karp search,
+which reaches the min cut's left side by alternating paths out of the
+unmatched left vertices. From a violation
 (A, B) with |A| <= |B| (A may lie in either class; the step orients the
 pair once), writing C and D for the complements of B and A in their
 classes, at least one of two escapes holds
@@ -32,8 +36,10 @@ classes, at least one of two escapes holds
 
 and trimming the larger side to the top-degree vertices yields an equal-part
 restriction whose density ratio satisfies d'/d >= (n/n')^delta. Every count
-comes from adjacency: e(A, C) is the sum of A's neighbour counts in C, e(D, F)
-the degree sum over D, and a restriction's edges the kept counts. The potential
+comes from the degree table and the edges at A: e(A, C) counts the edges at
+A that end in C, e(D, F) is the degree sum over D, a vertex of F has
+deg - |N(v) & A| neighbours in D, and a restriction's edges are the kept
+counts. No adjacency table is built. The potential
 d_i * n_i^delta never decreases along the trace, and part sizes strictly
 shrink, so the loop terminates in a factor.
 """
@@ -225,43 +231,66 @@ def _top_by_degree(
 
 
 def density_increment_step(b: BipartiteGraph, cfg: PipelineConfig) -> IncrementStep:
-    """One step of the increment: a k-factor or a denser equal-part restriction."""
+    """One step of the increment: a k-factor or a denser equal-part restriction.
+
+    If some vertex has degree < k, the violation is the larger deficient set
+    (left on ties) against the whole other class, X = deficient left, Y = R
+    or X = L, Y = deficient right, with slack sum (deg - k) < 0 over the
+    deficient set. Only a layer with no deficient vertex goes to
+    ``find_k_factor``.
+    """
     n = len(b.left)
     d = b.density
     if d == 0:
         raise ValueError("density is zero")
     delta = cfg.delta
     k = cfg.k_for(d, n)
-    w = find_k_factor(b, k)
-    if w.is_factor:
-        return IncrementStep(kind="factor", k=k, factor=w.factor)
+    deg = Counter(chain.from_iterable(b.edges))
+    short_l = tuple(u for u in b.left if deg[u] < k)
+    short_r = tuple(v for v in b.right if deg[v] < k)
+    if short_l or short_r:
+        if len(short_l) >= len(short_r):
+            xs, ys, short = short_l, b.right, short_l
+        else:
+            xs, ys, short = b.left, short_r, short_r
+        slack = sum(deg[x] - k for x in short)
+        if slack >= 0:
+            raise DichotomyBug(f"degree scan produced a non-violating pair (slack {slack})")
+    else:
+        w = find_k_factor(b, k)
+        if w.is_factor:
+            return IncrementStep(kind="factor", k=k, factor=w.factor)
+        xs, ys = w.violation
 
-    xs, ys = w.violation
     # A is the smaller side of the violation, B the other; D is the rest of
-    # A's class and C the rest of B's class F. A vertex's score is its number
-    # of neighbours in the opposite set, so scores of A into C sum to e(A, C)
-    # and degrees over D sum to e(D, F).
+    # A's class and C the rest of B's class F. Only the edges at A are
+    # scanned: their ends in C sum to e(A, C), the degrees over D sum to
+    # e(D, F), and a vertex of F has deg - |N(v) & A| neighbours in D.
     a_left = len(xs) <= len(ys)
     a, bb = (xs, ys) if a_left else (ys, xs)
     a_class, f_class = (b.left, b.right) if a_left else (b.right, b.left)
-    a_adj = b.left_adjacency if a_left else b.right_adjacency
     bset, aset = set(bb), set(a)
     c = [v for v in f_class if v not in bset]
     dd = [u for u in a_class if u not in aset]
+    at_a = (
+        [e for e in b.edges if e[0] in aset]
+        if a_left
+        else [(v, u) for u, v in b.edges if v in aset]
+    )
 
     candidates = []  # (potential, escape, kept labels of both classes)
     if c:
         cset = set(c)
-        scores = {u: sum(1 for v in a_adj[u] if v in cset) for u in a}
+        into_c = Counter(u for u, v in at_a if v in cset)
+        scores = {u: into_c[u] for u in a}
         if sum(scores.values()) >= d * len(a) * len(c) ** (1 - delta) * n**delta:
             potential, kept = _top_by_degree(scores, len(c), delta)
             candidates.append((potential, "dense-pair", kept + c))
     if dd and (
-        sum(len(a_adj[u]) for u in dd) >= d * len(dd) ** (1 - delta) * n ** (1 + delta)
+        sum(deg[u] for u in dd) >= d * len(dd) ** (1 - delta) * n ** (1 + delta)
     ):
-        f_adj = b.right_adjacency if a_left else b.left_adjacency
-        dset = set(dd)
-        scores = {v: sum(1 for u in f_adj[v] if u in dset) for v in f_class}
+        from_a = Counter(v for _, v in at_a)
+        scores = {v: deg[v] - from_a[v] for v in f_class}
         potential, kept = _top_by_degree(scores, len(dd), delta)
         candidates.append((potential, "complement-side", dd + kept))
     if not candidates:
@@ -381,13 +410,27 @@ def forest_partition(g: Graph) -> list[Graph]:
     (not over all declared ids); an edge joins the first forest in which its
     ends lie in different trees. Each forest's edges are a sorted
     subsequence of ``g.edges``, so it is returned without re-validation.
+
+    That forest is found by bisection, not by a scan, because of this lemma:
+    every component of forest j+1 lies inside a component of forest j.
+    Proof, by induction over the edges in the order first-fit places them.
+    An edge joins forest j+1 only if its ends are already connected in
+    forest j (else first-fit would have put it in forest j or earlier), so
+    the two components of forest j+1 it merges lie inside one component of
+    forest j; and forest j only grows, so the containment, once true, stays
+    true. Hence "the ends are connected in forest f" holds on a prefix of
+    the forests, and the first forest where it fails is the first-fit
+    choice. The forests come out edge for edge as a linear scan gives them.
     """
     index = {v: i for i, v in enumerate(sorted(set(chain.from_iterable(g.edges))))}
     forests: list[list[Edge]] = []
     parents: list[list[int]] = []
     for e in g.edges:
         a, b = index[e[0]], index[e[1]]
-        for bucket, parent in zip(forests, parents):
+        lo, hi, roots = 0, len(forests), None
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            parent = parents[mid]
             x, y = a, b
             while parent[x] != x:
                 parent[x] = parent[parent[x]]
@@ -395,15 +438,21 @@ def forest_partition(g: Graph) -> list[Graph]:
             while parent[y] != y:
                 parent[y] = parent[parent[y]]
                 y = parent[y]
-            if x != y:
-                parent[x] = y
-                bucket.append(e)
-                break
-        else:
+            if x == y:
+                lo = mid + 1
+            else:
+                hi, roots = mid, (x, y)
+        if roots is None:
             parent = list(range(len(index)))
             parent[a] = b
             forests.append([e])
             parents.append(parent)
+        else:
+            # the last forest found disconnected is forest lo, and nothing
+            # was joined since its roots were read
+            x, y = roots
+            parents[lo][x] = y
+            forests[lo].append(e)
     return [Graph._trusted(g.vertex_count, tuple(es)) for es in forests]
 
 
@@ -441,6 +490,15 @@ class DecompositionReport:
         return [p.colouring for p in self.parts]
 
 
+def _ambient(vertex_count: int, edges) -> Graph:
+    """A layer's edges as a graph on the ambient ids. They are distinct edges
+    of the input graph, so canonicalised and sorted they need no
+    re-validation."""
+    return Graph._trusted(
+        vertex_count, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges))
+    )
+
+
 def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> DecompositionReport:
     """Partition E(g) into interval-colourable parts via the layer pipeline."""
     cfg = cfg or PipelineConfig()
@@ -451,9 +509,7 @@ def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> Decompositio
     for layer in layers:
         left, right = layer.graph.left, layer.graph.right
         threshold = (2 * len(left)) ** (-cfg.gamma)
-        # the working graph is a fresh object, so its adjacency caches do not
-        # outlive the layer loop on the report's layers
-        cur = BipartiteGraph._trusted(left, right, layer.graph.edges)
+        cur = layer.graph
         while cur.edges and cur.density >= threshold:
             try:
                 k, factor, trace = large_regular_subgraph(cur, cfg)
@@ -461,7 +517,7 @@ def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> Decompositio
                 stuck.append(layer.bit)
                 break
             colouring = EdgeColouring(
-                factor.to_graph(g.vertex_count), _matching_colours(factor)
+                _ambient(g.vertex_count, factor.edges), _matching_colours(factor)
             )
             parts.append(FactorPart(layer.bit, k, colouring, trace))
             used = set(factor.edges)
@@ -469,14 +525,9 @@ def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> Decompositio
                 left, right, tuple(e for e in cur.edges if e not in used)
             )
         if cur.edges:
-            # distinct edges of g, canonicalised and sorted: no re-validation
-            rem_graph = Graph._trusted(
-                g.vertex_count,
-                tuple(sorted((u, v) if u < v else (v, u) for u, v in cur.edges)),
-            )
             parts.extend(
                 ForestPart(layer.bit, colour_forest(forest))
-                for forest in forest_partition(rem_graph)
+                for forest in forest_partition(_ambient(g.vertex_count, cur.edges))
             )
 
     part_of = {e: i for i, part in enumerate(parts) for e in part.colouring.colours}

@@ -211,20 +211,22 @@ class TestDecompose:
                      id="60-0.9-4"),
     ])
     def test_report_bytes_are_frozen(self, capsys, monkeypatch, tmp_path, n, p, seed, digest):
-        # padded G(n, p): some layers are dense enough for factors, k = 1
-        # calls fail on the padding and the increment restricts; the report
-        # and stdout bytes are pinned by SHA-256
-        seen = {"failed": 0, "restrictions": 0}
+        # padded G(n, p): some layers are dense enough for factors, the
+        # padding leaves vertices of degree < k, so the increment restricts
+        # from the degree table without a factor search; the report and
+        # stdout bytes are pinned by SHA-256
+        seen = {"searches": 0, "degree_route": 0, "restrictions": 0}
         find, step = dec.find_k_factor, dec.density_increment_step
 
         def counting_find(b, k):
-            w = find(b, k)
-            seen["failed"] += k == 1 and not w.is_factor
-            return w
+            seen["searches"] += 1
+            return find(b, k)
 
         def counting_step(b, cfg):
+            before = seen["searches"]
             s = step(b, cfg)
             seen["restrictions"] += s.kind == "restriction"
+            seen["degree_route"] += s.kind == "restriction" and seen["searches"] == before
             return s
 
         monkeypatch.setattr(dec, "find_k_factor", counting_find)
@@ -235,7 +237,7 @@ class TestDecompose:
         report = tmp_path / "r.json"
         code, out, err = run(capsys, "decompose", g, "--report", report)
         assert code == 0 and err == ""
-        assert seen["failed"] > 0 and seen["restrictions"] > 0, seen
+        assert seen["degree_route"] > 0 and seen["restrictions"] > 0, seen
         got = hashlib.sha256(report.read_bytes() + out.encode()).hexdigest()
         assert got == digest
 

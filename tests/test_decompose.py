@@ -212,14 +212,17 @@ class TestIncrementStep:
 
     def test_restrictions_are_frozen(self):
         # every choice of the step (k, escape, trimmed sides) is pinned over
-        # padded random layers; the sweep must meet both escapes with the
-        # violation's smaller side in either class
+        # random layers: seeds 0-199 pad each class, so most of their layers
+        # take the degree route; seeds 200-399 are unpadded and sparser, so
+        # layers with no isolated vertex reach find_k_factor. The sweep must
+        # meet both escapes with the violation's smaller side in either class
         rng = random.Random(5)
         records, cases = [], Counter()
-        for seed in range(200):
+        for seed in range(400):
             s = rng.randint(6, 40)
-            pad_l, pad_r = rng.randint(0, s // 3), rng.randint(0, s // 3)
-            p = rng.uniform(0.05, 0.6)
+            padded = seed < 200
+            pad_l, pad_r = (rng.randint(0, s // 3), rng.randint(0, s // 3)) if padded else (0, 0)
+            p = rng.uniform(0.05, 0.6 if padded else 0.3)
             left, right = tuple(range(s)), tuple(range(s, 2 * s))
             edges = tuple(
                 (u, v) for u in left[pad_l:] for v in right[pad_r:] if rng.random() < p
@@ -237,6 +240,7 @@ class TestIncrementStep:
                     records.append((seed, delta, "factor", step.k))
                     continue
                 xs, ys = step.violation
+                assert subset_criterion_value(b, step.k, xs, ys) < 0
                 cases[step.escape, len(xs) <= len(ys)] += 1
                 records.append((
                     seed, delta, step.kind, step.k, step.escape,
@@ -245,8 +249,60 @@ class TestIncrementStep:
         assert len(cases) == 4, cases
         digest = hashlib.sha256(repr(records).encode()).hexdigest()
         assert digest == (
-            "4375b54b6280ba63bd13d4e3198f84aaee74399a6633f0b9fb6b900631df4423"
+            "dcfc8b08e169637632626b9e58dc704a5e9c80c31c3a5e631d42ec4e175f3600"
         ), digest
+
+
+class TestDegreeRoute:
+    # K_{n,n} with every edge at the named vertices removed: n = 8 gives
+    # k = 1, and at n = 210 d*n stays between 200 and 210, so k = 2
+    @staticmethod
+    def layer(n, cut_left, cut_right):
+        left, right = tuple(range(n)), tuple(range(n, 2 * n))
+        cut = {*cut_left, *(n + j for j in cut_right)}
+        edges = tuple((u, v) for u in left for v in right if u not in cut and v not in cut)
+        return BipartiteGraph._trusted(left, right, edges)
+
+    @pytest.mark.parametrize("n,k", [(8, 1), (210, 2)])
+    @pytest.mark.parametrize("cut_left,cut_right,side", [
+        ((0,), (), "left"),
+        ((), (1, 5), "right"),
+        ((2, 3, 6), (0, 4), "left"),
+        ((7,), (1, 2), "right"),
+    ], ids=["left", "right", "both-left-larger", "both-right-larger"])
+    def test_deficient_vertices_answer_without_a_factor_search(
+        self, monkeypatch, n, k, cut_left, cut_right, side
+    ):
+        def no_search(b, k):
+            raise AssertionError("find_k_factor called on a deficient layer")
+
+        monkeypatch.setattr(dec, "find_k_factor", no_search)
+        b = self.layer(n, cut_left, cut_right)
+        step = density_increment_step(b, PipelineConfig())
+        assert step.k == k and step.kind == "restriction"
+        xs, ys = step.violation
+        short = tuple(cut_left) if side == "left" else tuple(n + j for j in cut_right)
+        # the larger deficient set against the whole other class
+        assert (xs, ys) == ((short, b.right) if side == "left" else (b.left, short))
+        assert subset_criterion_value(b, k, xs, ys) < 0
+
+    def test_a_layer_with_no_deficient_vertex_still_searches(self, monkeypatch):
+        # every degree is at least 1, but left 0 and 1 share their only
+        # neighbour, so the search runs and fails
+        left, right = tuple(range(8)), tuple(range(8, 16))
+        edges = ((0, 8), (1, 8)) + tuple((u, v) for u in left[2:] for v in right)
+        b = BipartiteGraph(left, right, edges)
+        calls = []
+
+        def counting_find(b, k):
+            calls.append(k)
+            return find_k_factor(b, k)
+
+        monkeypatch.setattr(dec, "find_k_factor", counting_find)
+        step = density_increment_step(b, PipelineConfig())
+        assert calls == [1] and step.kind == "restriction"
+        xs, ys = step.violation
+        assert subset_criterion_value(b, 1, xs, ys) < 0
 
 
 def test_decompose_theta_survives_increment_stuck(monkeypatch):
@@ -427,6 +483,58 @@ def test_forest_partition_matches_naive_first_fit():
             h.add_nodes_from(range(n))
             h.add_edges_from(f.edges)
             assert nx.is_forest(h)
+
+
+def linear_first_fit(g):
+    """First-fit forests by scanning the forests in order, one union-find
+    parent list each (the scan that forest_partition's bisection replaces)."""
+    index = {v: i for i, v in enumerate(sorted({x for e in g.edges for x in e}))}
+    forests, parents = [], []
+    for e in g.edges:
+        a, b = index[e[0]], index[e[1]]
+        for bucket, parent in zip(forests, parents):
+            x, y = a, b
+            while parent[x] != x:
+                x = parent[x]
+            while parent[y] != y:
+                y = parent[y]
+            if x != y:
+                parent[x] = y
+                bucket.append(e)
+                break
+        else:
+            parent = list(range(len(index)))
+            parent[a] = b
+            forests.append([e])
+            parents.append(parent)
+    return forests
+
+
+def test_forest_partition_matches_linear_first_fit():
+    # the sweep: every n in 2..48 at every p in (0.1, 0.3, 0.6, 0.95), graph
+    # seed n * 100 + the index of p; the dense end needs up to n/2 forests,
+    # so the bisection takes several steps per edge
+    most = 0
+    for n in range(2, 49):
+        for i, p in enumerate((0.1, 0.3, 0.6, 0.95)):
+            g = Graph(n, random_graph(n, p, seed=n * 100 + i))
+            parts = forest_partition(g)
+            assert [list(f.edges) for f in parts] == linear_first_fit(g), (n, p)
+            most = max(most, len(parts))
+    assert most >= 20, most
+
+
+def test_forests_nest():
+    # the lemma behind the bisection: every edge of forest j+1 has its ends
+    # connected in forest j
+    rng = random.Random(19)
+    for _ in range(40):
+        n = rng.randint(2, 40)
+        g = Graph(n, random_graph(n, rng.choice((0.2, 0.5, 0.9)), seed=rng.randrange(10**6)))
+        parts = forest_partition(g)
+        for lower, upper in zip(parts, parts[1:]):
+            comp = {v: i for i, c in enumerate(lower.components()) for v in c}
+            assert all(comp[u] == comp[v] for u, v in upper.edges), (n, g.edges)
 
 
 def test_forest_partition_memory_follows_touched_vertices():

@@ -43,12 +43,13 @@ def test_target_resolves(module, path):
 
 
 def test_traced_decompose_records_the_flow_layers(tmp_path, capsys):
-    # 60 vertices with 9 in 10 pairs joined reach find_k_factor and
-    # Hopcroft-Karp, and k = 1 calls fail on the padded layers, so the hooks
-    # read failing witnesses
-    edges = [(u, v) for u in range(60) for v in range(u + 1, 60) if (u * 7 + v * 3) % 10]
+    # every edge joins an even id to an odd one, so all lie in the bit-0
+    # layer; every vertex of it has degree >= 1, but the even vertices 0 and
+    # 2 share their only neighbour 1, so the k = 1 search runs and fails, and
+    # the hooks read a failing witness and the restriction that follows
+    edges = [(0, 1), (1, 2)] + [(u, v) for u in range(4, 16, 2) for v in range(1, 16, 2)]
     g = tmp_path / "g.txt"
-    g.write_text(f"60 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    g.write_text(f"16 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
     originals = wrapped_attributes()
     tracer = spans.Tracer()
     with tracer.installed():
