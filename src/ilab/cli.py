@@ -131,10 +131,13 @@ def _cmd_solve(args, files: _Files) -> int:
             raise ValueError("--max-colours applies to --mode colourable only")
         if args.max_colours < 1:
             raise ValueError("max_colours must be >= 1")
+    if args.kmax is not None and args.mode != "theta":
+        raise ValueError("--kmax applies to --mode theta only")
     budget = SearchBudget(node_limit=args.node_limit, time_limit=args.time_limit)
-    files.config.update(mode=args.mode, kmax=args.kmax, max_colours=args.max_colours)
+    files.config.update(mode=args.mode)
     try:
         if args.mode == "colourable":
+            files.config.update(max_colours=args.max_colours)
             c = find_interval_colouring(g, budget, max_colours=args.max_colours)
             if c is None:
                 cap = args.max_colours
@@ -155,9 +158,11 @@ def _cmd_solve(args, files: _Files) -> int:
                 _write_colouring(files, args.out, c)
             return 0
         # theta
-        result = exact_thickness(g, k_max=args.kmax, budget=budget)
+        kmax = 4 if args.kmax is None else args.kmax
+        files.config.update(kmax=kmax)
+        result = exact_thickness(g, k_max=kmax, budget=budget)
         if result is None:
-            print(f"interval thickness exceeds {args.kmax}")
+            print(f"interval thickness exceeds {kmax}")
             return 1
         print(f"interval thickness: {result.theta}")
         if args.out:
@@ -387,7 +392,7 @@ def _parser() -> argparse.ArgumentParser:
         "--mode", choices=["colourable", "tmax", "theta"], default="colourable"
     )
     p.add_argument("--max-colours", type=int, default=None, help="colourable mode only")
-    p.add_argument("--kmax", type=int, default=4, help="thickness search cap")
+    p.add_argument("--kmax", type=int, default=None, help="theta mode only (default 4)")
     p.add_argument("--node-limit", type=int, default=5_000_000)
     p.add_argument("--time-limit", type=float, default=None, help="positive seconds")
     p.add_argument("-o", "--out", help="write the witness colouring/partition here")

@@ -245,7 +245,7 @@ def density_increment_step(b: BipartiteGraph, cfg: PipelineConfig) -> IncrementS
         raise ValueError("density is zero")
     delta = cfg.delta
     k = cfg.k_for(d, n)
-    deg = Counter(chain.from_iterable(b.edges))
+    deg = b.degrees
     short_l = tuple(u for u in b.left if deg[u] < k)
     short_r = tuple(v for v in b.right if deg[v] < k)
     if short_l or short_r:
@@ -370,7 +370,7 @@ def matching_decomposition(h: BipartiteGraph) -> list[list[tuple[int, int]]]:
     """
     if len(h.left) != len(h.right):
         raise ValueError("parts must have equal size")
-    degrees = Counter(chain.from_iterable(h.edges))
+    degrees = h.degrees
     k = degrees[h.left[0]] if h.left else 0
     bad = next((x for x in h.left + h.right if degrees[x] != k), None)
     if bad is not None:
@@ -394,8 +394,12 @@ def _matching_colours(h: BipartiteGraph) -> dict[Edge, int]:
 
 
 def colour_regular_bipartite(h: BipartiteGraph) -> EdgeColouring:
-    """Colour matching j with colour j (1-based): every vertex sees {1..k}."""
-    return EdgeColouring(h.to_graph(), _matching_colours(h))
+    """Colour matching j with colour j (1-based): every vertex sees {1..k};
+    the colouring's graph has the labels as vertex ids, 0..max label."""
+    labels = h.left + h.right
+    if min(labels, default=0) < 0:
+        raise ValueError(f"label {min(labels)} is not a vertex id")
+    return EdgeColouring(_ambient(max(labels, default=-1) + 1, h.edges), _matching_colours(h))
 
 
 # ---------------------------------------------------------------------------

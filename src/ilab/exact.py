@@ -82,7 +82,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .colouring import EdgeColouring
-from .graphs import Edge, EdgePartition, Graph, induced_subgraph
+from .graphs import Edge, EdgePartition, Graph, induced_subgraph, relabelled
 from .planar import certified_colour_cap
 
 
@@ -336,9 +336,7 @@ def max_colours(
     offset = 0
     for edges, deg, window, best in found:
         best_t = len(set(best.values()))
-        index = {v: j for j, v in enumerate(sorted(deg))}
-        relabelled = sorted((index[u], index[v]) for u, v in edges)
-        cap = certified_colour_cap(Graph._trusted(len(index), tuple(relabelled)))
+        cap = certified_colour_cap(relabelled(sorted(deg), edges))
         top = window if cap is None else min(window, cap)
         if best_t > top:
             raise RuntimeError(

@@ -6,15 +6,18 @@ Conventions used throughout the package:
   ``(u, v)`` with ``u < v`` and graphs are simple (no loops, no multi-edges);
 * a ``BipartiteGraph`` keeps explicit vertex *labels* for both sides (labels
   are arbitrary ints, typically ids of some ambient ``Graph``) and stores each
-  edge as ``(left_label, right_label)``.
+  edge as ``(left_label, right_label)``; ``BipartiteGraph.degrees`` is the
+  one bipartite degree table, and ``relabelled`` the one renumbering of a
+  piece of a graph onto 0..k-1.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
@@ -112,6 +115,20 @@ class Graph:
         return self.vertex_count <= 1 or len(self.components()) == 1
 
 
+def relabelled(labels: Sequence[int], edges: Iterable[Edge]) -> Graph:
+    """The graph on 0..k-1 whose vertex i is ``labels[i]``, with the given edges.
+
+    ``labels`` must be ascending and ``edges`` distinct canonical pairs with
+    both ends in ``labels``. The renumbering is then monotone, so every pair
+    keeps u < v and the pairs stay distinct and in range: sorting is all
+    that ``Graph`` would still do, and the result is built with
+    ``Graph._trusted``.
+    """
+    pos = {x: i for i, x in enumerate(labels)}
+    local = sorted((pos[u], pos[v]) for u, v in edges)
+    return Graph._trusted(len(labels), tuple(local))
+
+
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int]]:
     """Induced subgraph, re-indexed to 0..k-1.
 
@@ -123,11 +140,8 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int
     for v in vs:
         if not 0 <= v < g.vertex_count:
             raise ValueError(f"vertex {v} out of range")
-    index = {v: i for i, v in enumerate(vs)}
-    sub_edges = [
-        (index[u], index[v]) for u, v in g.edges if u in index and v in index
-    ]
-    return Graph(len(vs), tuple(sub_edges)), vs
+    keep = set(vs)
+    return relabelled(vs, (e for e in g.edges if e[0] in keep and e[1] in keep)), vs
 
 
 def diameter(g: Graph) -> float:
@@ -222,23 +236,13 @@ class BipartiteGraph:
         return len(self.edges) / (len(self.left) * len(self.right))
 
     @cached_property
-    def left_adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {u: [] for u in self.left}
-        for u, v in self.edges:
-            adj[u].append(v)
-        return {u: tuple(sorted(a)) for u, a in adj.items()}
-
-    @cached_property
-    def right_adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {v: [] for v in self.right}
-        for u, v in self.edges:
-            adj[v].append(u)
-        return {v: tuple(sorted(a)) for v, a in adj.items()}
+    def degrees(self) -> Counter[int]:
+        """Every label's degree, counted once from the edges; a label that no
+        edge touches reads 0."""
+        return Counter(chain.from_iterable(self.edges))
 
     def degree(self, label: int) -> int:
-        if label in self.left_adjacency:
-            return len(self.left_adjacency[label])
-        return len(self.right_adjacency[label])
+        return self.degrees[label]
 
     def restrict(self, left: Iterable[int], right: Iterable[int]) -> "BipartiteGraph":
         """Sub-pair induced on the given label subsets (order preserved from self)."""
@@ -247,13 +251,6 @@ class BipartiteGraph:
         keep_r = tuple(v for v in self.right if v in rset)
         keep_e = tuple(e for e in self.edges if e[0] in lset and e[1] in rset)
         return BipartiteGraph._trusted(keep_l, keep_r, keep_e)
-
-    def to_graph(self, vertex_count: int | None = None) -> Graph:
-        """View as a plain Graph on the ambient id space."""
-        n = vertex_count
-        if n is None:
-            n = max(self.left + self.right) + 1 if (self.left or self.right) else 0
-        return Graph(n, tuple(canonical_edge(u, v) for u, v in self.edges))
 
 
 # ---------------------------------------------------------------------------

@@ -150,12 +150,12 @@ def unique_colour_split(c: EdgeColouring) -> SplitResult | None:
     two interval colourings sharing only the edge (v, w). Returns None when
     no such colour exists. Isolated vertices are assigned to the low side.
 
-    Raises ValueError for a disconnected graph or a non-interval colouring:
-    the one-sidedness of every vertex, which the split relies on, is only
-    guaranteed when colour sets are contiguous.
+    Raises ValueError when the edges form more than one component, or for
+    a non-interval colouring: the one-sidedness of every vertex, which the
+    split relies on, is only guaranteed when colour sets are contiguous.
     """
-    if not c.graph.is_connected():
-        raise ValueError("unique_colour_split needs a connected graph")
+    if sum(len(comp) > 1 for comp in c.graph.components()) > 1:
+        raise ValueError("unique_colour_split needs the edges to be connected")
     report = verify(c)
     if not report.interval:
         raise ValueError("unique_colour_split needs an interval colouring")

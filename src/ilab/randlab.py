@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -44,9 +43,9 @@ from .graphs import (
     MAX_VERTICES,
     BipartiteGraph,
     Edge,
-    Graph,
     canonical_edge,
     diameter,
+    relabelled,
 )
 
 MAX_DRAW_CELLS = 1 << 24  # generate's |A_1| x n float64 draw: 128 MB
@@ -124,17 +123,8 @@ class LayeredBipartite:
     def all_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(e for lg in self.layer_graphs for e in lg.edges))
 
-    @cached_property
-    def _degrees(self) -> Counter[int]:
-        """Every vertex's degree over all layers, counted once from the edges."""
-        degrees: Counter[int] = Counter()
-        for lg in self.layer_graphs:
-            for column in zip(*lg.edges):  # the b ends, then the a ends
-                degrees.update(column)
-        return degrees
-
     def ambient_degree(self, vertex: int) -> int:
-        return self._degrees[vertex]  # 0 for an id no edge touches
+        return sum(lg.degrees[vertex] for lg in self.layer_graphs)
 
 
 def generate(params: LowerBoundParams) -> LayeredBipartite:
@@ -178,11 +168,12 @@ def check_biregular(b: BipartiteGraph, p: float) -> tuple[bool, int | None]:
     """
     lo_l, hi_l = 0.9 * p * len(b.right), 1.1 * p * len(b.right)
     lo_r, hi_r = 0.9 * p * len(b.left), 1.1 * p * len(b.left)
+    deg = b.degrees
     for u in b.left:
-        if not lo_l <= b.degree(u) <= hi_l:
+        if not lo_l <= deg[u] <= hi_l:
             return False, u
     for v in b.right:
-        if not lo_r <= b.degree(v) <= hi_r:
+        if not lo_r <= deg[v] <= hi_r:
             return False, v
     return True, None
 
@@ -310,12 +301,8 @@ def find_dense_monochromatic(
     middle = tuple(sorted(adj_l[x0]))
     far = tuple(sorted({u for v in middle for u in adj_r[v]}))
     edges = tuple(sorted(canonical_edge(u, v) for v in middle for u in adj_r[v]))
-    # relabel for the diameter computation; far holds x0. The relabel is
-    # monotone, so the sorted canonical edges stay sorted, distinct and u < v
-    labels = sorted({*middle, *far})
-    pos = {x: i for i, x in enumerate(labels)}
-    local = Graph._trusted(len(labels), tuple((pos[u], pos[v]) for u, v in edges))
-    diam = diameter(local)
+    labels = sorted({*middle, *far})  # far holds x0
+    diam = diameter(relabelled(labels, edges))
     if not math.isfinite(diam) or diam > 4:
         raise AssertionError("second neighbourhood must be connected with diameter <= 4")
     return DenseSubgraphReport(
@@ -389,14 +376,9 @@ def validate_spread_witness(
                 pivot_hits.append(e[0] if e[1] == w.pivot else e[1])
     if not h_edges:
         return False, "piece carries no edges of the part"
-    # h_edges is a sorted subsequence of the canonical edges, and the relabel
-    # is monotone, so the local edges stay sorted, distinct and u < v
-    labels = sorted(hset)
-    pos = {x: i for i, x in enumerate(labels)}
-    local = Graph._trusted(len(labels), tuple((pos[u], pos[v]) for u, v in h_edges))
     # the piece has two or more vertices, so a finite diameter also puts a
     # part edge on every one of them
-    diam = diameter(local)
+    diam = diameter(relabelled(sorted(hset), h_edges))
     if not math.isfinite(diam):
         return False, "part edges do not connect the piece"
     n_edges = len(pivot_hits)
@@ -514,19 +496,17 @@ def adversarial_probe(
         # -- witness scan against every earlier piece
         for i, (f_i, report_i, b_i, delta_cap) in enumerate(used, start=1):
             budget = probe_budget(params, i, budget_scale)
+            hits = Counter(
+                a for b, a in layer.edges if b in b_i and part_of[(b, a)] == f_i
+            )
             for a in lb.a_layers[k - 1]:
-                hits = [
-                    b
-                    for b in layer.right_adjacency.get(a, ())
-                    if b in b_i and part_of[(b, a)] == f_i
-                ]
-                if len(hits) <= budget:
+                if hits[a] <= budget:
                     continue
                 w = SpreadWitness(
                     part=f_i,
                     h_vertices=report_i.vertices,
                     pivot=a,
-                    edge_count=len(hits),
+                    edge_count=hits[a],
                     diameter=report_i.diameter,
                     delta_cap=delta_cap,
                 )
@@ -534,7 +514,7 @@ def adversarial_probe(
                     trace.witnesses.append(w)
                 else:
                     trace.overruns.append(
-                        Overrun(k, i, a, len(hits), budget)
+                        Overrun(k, i, a, hits[a], budget)
                     )
         if trace.witnesses:
             return trace
@@ -556,7 +536,7 @@ def adversarial_probe(
             else:
                 fresh_edges.append((b, a))
         proportion = max(
-            (d / len(restricted.right_adjacency[a]) for a, d in deleted.items()),
+            (d / restricted.degrees[a] for a, d in deleted.items()),
             default=0.0,
         )
 

@@ -143,6 +143,26 @@ class TestSolve:
         assert code == 2 and out == ""
         assert err == "error: --max-colours applies to --mode colourable only\n"
 
+    @pytest.mark.parametrize("mode", ["colourable", "tmax"])
+    def test_kmax_is_theta_mode_only(self, capsys, files, mode):
+        g = files("k4.txt", K4)
+        code, out, err = run(capsys, "solve", g, "--mode", mode, "--kmax", "9")
+        assert code == 2 and out == ""
+        assert err == "error: --kmax applies to --mode theta only\n"
+
+    @pytest.mark.parametrize("argv,config", [
+        ([], {"mode": "colourable", "max_colours": None}),
+        (["--max-colours", "4"], {"mode": "colourable", "max_colours": 4}),
+        (["--mode", "tmax"], {"mode": "tmax"}),
+        (["--mode", "theta"], {"mode": "theta", "kmax": 4}),
+        (["--mode", "theta", "--kmax", "2"], {"mode": "theta", "kmax": 2}),
+    ], ids=["colourable", "capped", "tmax", "theta", "theta-kmax"])
+    def test_manifest_echoes_only_what_the_mode_reads(self, capsys, files, tmp_path, argv, config):
+        manifest = tmp_path / "m.json"
+        code, _, _ = run(capsys, "solve", files("k4.txt", K4), *argv, "--manifest", manifest)
+        assert code == 0
+        assert json.loads(manifest.read_text())["config"] == config
+
     @pytest.mark.parametrize("limit", ["0", "nan", "-5", "inf"])
     def test_time_limit_must_be_positive(self, capsys, files, limit):
         code, out, err = run(capsys, "solve", files("k4.txt", K4), "--time-limit", limit)

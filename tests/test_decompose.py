@@ -421,12 +421,17 @@ class TestRegularDecomposition:
         ), digest
 
     def test_colouring_is_interval_with_k_colours(self):
-        # 4-regular circulant on 7+7
-        left, right = tuple(range(7)), tuple(range(7, 14))
-        edges = tuple((u, 7 + (u + d) % 7) for u in range(7) for d in range(4))
+        # 4-regular circulant on 7+7, left labels above right ones
+        left, right = tuple(range(7, 14)), tuple(range(7))
+        edges = tuple((7 + u, (u + d) % 7) for u in range(7) for d in range(4))
         c = colour_regular_bipartite(BipartiteGraph(left, right, edges))
         rep = verify(c)
         assert rep.interval and rep.distinct_colours == 4
+        # the ambient graph: n = max label + 1, canonical sorted edges
+        assert c.graph.vertex_count == 14
+        assert c.graph.edges == tuple(sorted((v, u) for u, v in edges))
+        with pytest.raises(ValueError, match="not a vertex id"):
+            colour_regular_bipartite(BipartiteGraph((-1,), (0,), ((-1, 0),)))
 
 
 @given(st.integers(1, 40), st.random_module())

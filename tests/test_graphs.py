@@ -11,7 +11,8 @@ from ilab.formats import (
     serialize_graph_json,
     serialize_graph_text,
 )
-from ilab.graphs import BipartiteGraph, diameter, induced_subgraph
+from ilab.decompose import colour_regular_bipartite
+from ilab.graphs import BipartiteGraph, diameter, induced_subgraph, relabelled
 
 
 @st.composite
@@ -118,6 +119,17 @@ def test_diameter_of_a_long_path():
     assert diameter(Graph(n, tuple((i, i + 1) for i in range(n - 1)))) == n - 1
 
 
+@given(graphs(), st.data())
+def test_relabelled_matches_the_validating_constructor(g, data):
+    keep = data.draw(st.sets(st.sampled_from(range(g.vertex_count)))) if g.vertex_count else set()
+    labels = sorted(keep)
+    inside = [e for e in g.edges if e[0] in keep and e[1] in keep]
+    pos = {x: i for i, x in enumerate(labels)}
+    want = Graph(len(labels), tuple((pos[u], pos[v]) for u, v in inside))
+    assert relabelled(labels, inside) == want
+    assert relabelled(labels, inside[::-1]) == want
+
+
 def test_induced_subgraph_relabels_in_order():
     g = Graph(5, ((0, 2), (2, 4), (3, 4)))
     sub, table = induced_subgraph(g, [2, 3, 4])
@@ -170,9 +182,11 @@ class TestBipartite:
             BipartiteGraph((0, 1), (2, 3), ((0, 1),))
 
     def test_degree_and_density(self):
-        b = BipartiteGraph((0, 1), (2, 3), ((0, 2), (0, 3), (1, 2)))
+        b = BipartiteGraph((0, 1, 4), (2, 3), ((0, 2), (0, 3), (1, 2)))
         assert b.degree(0) == 2 and b.degree(3) == 1
-        assert b.density == 3 / 4
+        assert b.degree(4) == 0  # a label no edge touches
+        assert b.degrees == {0: 2, 1: 1, 2: 2, 3: 1}
+        assert b.density == 3 / 6
         assert b.edge_count == 3
 
     def test_restrict_keeps_host_order(self):
@@ -184,10 +198,13 @@ class TestBipartite:
         assert r.edges == want == ((0, 3), (2, 3))
 
     def test_to_graph_round(self):
-        b = BipartiteGraph((0, 2), (1,), ((0, 1), (2, 1)))
-        g = b.to_graph()
-        assert g.edges == ((0, 1), (1, 2))
-        assert g.vertex_count == 3
+        # a pair's plain-graph view is the graph of its regular colouring:
+        # ambient ids 0..max label, canonical sorted edges, even where a left
+        # label lies above a right one
+        b = BipartiteGraph((0, 2), (1, 3), ((0, 3), (2, 1)))
+        g = colour_regular_bipartite(b).graph
+        assert g.edges == ((0, 3), (1, 2))
+        assert g.vertex_count == 4
 
 
 def test_edge_partition_requires_exact_domain():

@@ -204,6 +204,16 @@ class TestSplit:
         with pytest.raises(ValueError, match="connected"):
             unique_colour_split(c)
 
+    def test_isolated_vertex_goes_to_the_low_side(self):
+        # the edges still form one component, so the split goes ahead
+        g, c = extremal_family(FamilySpec(3, frozenset({1})))
+        n = g.vertex_count
+        c = EdgeColouring(Graph(n + 1, g.edges), dict(c.colours))
+        r = unique_colour_split(c)
+        assert r.colour == 3 and r.edge == (2, 3)
+        assert r.v1 == (0, 1, n) and r.v2 == (4, 5)
+        assert verify(r.c1).interval and verify(r.c2).interval
+
     def test_non_interval_input_rejected(self):
         g = Graph(3, ((0, 1), (1, 2)))
         c = EdgeColouring(g, {(0, 1): 0, (1, 2): 2})
