@@ -195,7 +195,7 @@ def _cmd_decompose(args, files: _Files) -> int:
         for index, part in enumerate(report.parts):
             edges, colours = part.colouring.graph.edges, part.colouring.colours
             entry = {"index": index, "layer_bit": part.layer_bit, "kind": "forest",
-                     "edges": [list(e) for e in edges], "colours": [colours[e] for e in edges]}
+                     "edges": edges, "colours": [colours[e] for e in edges]}
             if isinstance(part, FactorPart):
                 entry.update(kind="factor", k=part.k, trace=[
                     {"part_size": t.part_size, "density": t.density, "escape": t.escape}
@@ -212,8 +212,8 @@ def _cmd_decompose(args, files: _Files) -> int:
             "layers": [
                 {
                     "bit": layer.bit,
-                    "part_size": len(layer.graph.left),
-                    "edges": len(layer.graph.edges),
+                    "part_size": layer.half,
+                    "edges": len(layer.edges),
                 }
                 for layer in report.layers
             ],

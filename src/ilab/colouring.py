@@ -46,6 +46,18 @@ class EdgeColouring:
             if not isinstance(c, int):
                 raise ValueError(f"colour of {e} is not an int: {c!r}")
 
+    @classmethod
+    def _trusted(cls, graph: Graph, colours: dict[Edge, int]) -> "EdgeColouring":
+        """Build without validating.
+
+        The caller guarantees what ``__post_init__`` would check: the keys of
+        ``colours`` are exactly ``graph.edges`` and every colour is an int.
+        """
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "graph", graph)
+        object.__setattr__(obj, "colours", colours)
+        return obj
+
     def colour(self, u: int, v: int) -> int:
         return self.colours[canonical_edge(u, v)]
 
@@ -177,6 +189,18 @@ def colour_forest(f: Graph) -> EdgeColouring:
     Only the vertices that carry an edge are visited, so the cost is linear
     in the edges whatever the vertex count. ``f.edges`` is sorted and
     canonical, so each neighbour list built from it comes out ascending.
+
+    The colours are keyed by exactly ``f.edges``, so the colouring is built
+    with ``EdgeColouring._trusted``. Proof: every touched vertex is pushed
+    once, when first seen, and popped once, and the pop of v looks at every
+    edge at v but the one to its parent. If such an edge vw finds w already
+    seen, then v and w are joined by tree edges (a finished tree has no
+    edge leaving it), which close a cycle with vw, and the function raises.
+    In a forest that never happens: every edge is a tree edge, and the DFS
+    reaches it exactly once, from the end popped first, where it gets its
+    colour under its canonical key and pushes the other end, whose pop
+    skips it as the parent edge. So each edge of ``f`` is coloured once, no
+    other key is written, and every colour is an int.
     """
     adj: dict[int, list[int]] = defaultdict(list)
     for u, v in f.edges:
@@ -202,4 +226,4 @@ def colour_forest(f: Graph) -> EdgeColouring:
                 colours[(v, w) if v < w else (w, v)] = nxt
                 stack.append((w, v, nxt))
                 nxt += 1
-    return EdgeColouring(f, colours)
+    return EdgeColouring._trusted(f, colours)

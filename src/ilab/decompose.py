@@ -10,6 +10,11 @@ first-fit and colour each forest directly. Every part produced is interval
 colourable by construction, so the number of parts upper-bounds the interval
 thickness.
 
+The split is one pass over the input's canonical edges, and a layer keeps
+them in that order. Only a layer dense enough for the increment is oriented
+into a ``BipartiteGraph`` (its bit classes over the padded ids); a layer
+below the threshold goes to forests as it is.
+
 The k-regular extraction works by density increment. For an equal-part
 bipartite graph with part size n and density d, either a k-factor exists for
 k = max(1, floor(d*n/100)), or the subset criterion
@@ -50,7 +55,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cached_property
 from itertools import chain
+from typing import Callable
 
 import numpy as np
 
@@ -94,8 +101,30 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class BitLayer:
+    """The input's edges whose endpoint ids first differ at ``bit``.
+
+    ``edges`` is a sorted subsequence of the input's canonical edges, and
+    ``half`` is the part size 2^(s-1) of the padded ids 0..2^s-1. The
+    bipartite view, ``graph``, is built on first use: only a layer that
+    reaches the density increment reads it.
+    """
+
     bit: int
-    graph: BipartiteGraph
+    half: int
+    edges: tuple[Edge, ...]
+    padded_ids: Callable[[], tuple[int, ...]] = field(repr=False, compare=False)
+
+    @cached_property
+    def graph(self) -> BipartiteGraph:
+        """Left the padded ids with ``bit`` clear, right those with it set
+        (ascending), and each edge oriented left to right, sorted. Every
+        layer of one split reads the same id tuple, so the id ints are made
+        once."""
+        ids, bit = self.padded_ids(), self.bit
+        left = tuple(v for v in ids if not (v >> bit) & 1)
+        right = tuple(v for v in ids if (v >> bit) & 1)
+        edges = tuple(sorted((v, u) if (u >> bit) & 1 else (u, v) for u, v in self.edges))
+        return BipartiteGraph._trusted(left, right, edges)
 
 
 def bit_split(g: Graph) -> list[BitLayer]:
@@ -103,25 +132,24 @@ def bit_split(g: Graph) -> list[BitLayer]:
 
     Vertex ids are implicitly padded to 2^s (s = ceil(log2 n)); layer i is an
     equal-part bipartite graph between {bit i = 0} and {bit i = 1} over all
-    padded ids. Only layers that carry edges are returned (ascending bit).
+    padded ids. One pass over ``g.edges`` groups them, so each layer's edges
+    keep the canonical sorted order; nothing is oriented here (see
+    ``BitLayer.graph``). Only layers that carry edges are returned
+    (ascending bit).
     """
     if g.edge_count == 0:
         return []
     s = max(1, math.ceil(math.log2(g.vertex_count)))
-    full = 1 << s
-    by_bit: dict[int, list[tuple[int, int]]] = {}
-    for u, v in g.edges:
-        bit = ((u ^ v) & -(u ^ v)).bit_length() - 1
-        lo_side, hi_side = (u, v) if not (u >> bit) & 1 else (v, u)
-        by_bit.setdefault(bit, []).append((lo_side, hi_side))
-    ids = tuple(range(full))  # every layer shares these int objects
-    layers = []
-    for bit in sorted(by_bit):
-        left = tuple(v for v in ids if not (v >> bit) & 1)
-        right = tuple(v for v in ids if (v >> bit) & 1)
-        edges = tuple(sorted(by_bit[bit]))
-        layers.append(BitLayer(bit, BipartiteGraph._trusted(left, right, edges)))
-    return layers
+    by_low: dict[int, list[Edge]] = {1 << bit: [] for bit in range(s)}
+    for e in g.edges:
+        x = e[0] ^ e[1]
+        by_low[x & -x].append(e)
+    padded_ids = cache(lambda: tuple(range(1 << s)))
+    return [
+        BitLayer(low.bit_length() - 1, 1 << (s - 1), tuple(es), padded_ids)
+        for low, es in by_low.items()
+        if es
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -504,35 +532,43 @@ def _ambient(vertex_count: int, edges) -> Graph:
 
 
 def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> DecompositionReport:
-    """Partition E(g) into interval-colourable parts via the layer pipeline."""
+    """Partition E(g) into interval-colourable parts via the layer pipeline.
+
+    A layer whose density len(edges) / half^2 is below the threshold
+    (2 half)^-gamma goes straight to first-fit forests on its canonical
+    edges and is never oriented. Only a denser layer builds its bipartite
+    graph and extracts k-factors until the rest falls below the threshold
+    (or the increment is stuck); that rest goes to forests.
+    """
     cfg = cfg or PipelineConfig()
     layers = bit_split(g)
     parts: list[FactorPart | ForestPart] = []
     stuck: list[int] = []
 
     for layer in layers:
-        left, right = layer.graph.left, layer.graph.right
-        threshold = (2 * len(left)) ** (-cfg.gamma)
-        cur = layer.graph
-        while cur.edges and cur.density >= threshold:
-            try:
-                k, factor, trace = large_regular_subgraph(cur, cfg)
-            except DensityIncrementStuck:
-                stuck.append(layer.bit)
-                break
-            colouring = EdgeColouring(
-                _ambient(g.vertex_count, factor.edges), _matching_colours(factor)
-            )
-            parts.append(FactorPart(layer.bit, k, colouring, trace))
-            used = set(factor.edges)
-            cur = BipartiteGraph._trusted(
-                left, right, tuple(e for e in cur.edges if e not in used)
-            )
-        if cur.edges:
-            parts.extend(
-                ForestPart(layer.bit, colour_forest(forest))
-                for forest in forest_partition(_ambient(g.vertex_count, cur.edges))
-            )
+        threshold = (2 * layer.half) ** (-cfg.gamma)
+        remainder = Graph._trusted(g.vertex_count, layer.edges)
+        if len(layer.edges) / (layer.half * layer.half) >= threshold:
+            cur = layer.graph
+            while cur.edges and cur.density >= threshold:
+                try:
+                    k, factor, trace = large_regular_subgraph(cur, cfg)
+                except DensityIncrementStuck:
+                    stuck.append(layer.bit)
+                    break
+                colouring = EdgeColouring(
+                    _ambient(g.vertex_count, factor.edges), _matching_colours(factor)
+                )
+                parts.append(FactorPart(layer.bit, k, colouring, trace))
+                used = set(factor.edges)
+                cur = BipartiteGraph._trusted(
+                    cur.left, cur.right, tuple(e for e in cur.edges if e not in used)
+                )
+            remainder = _ambient(g.vertex_count, cur.edges)
+        parts.extend(
+            ForestPart(layer.bit, colour_forest(forest))
+            for forest in forest_partition(remainder)
+        )
 
     part_of = {e: i for i, part in enumerate(parts) for e in part.colouring.colours}
     return DecompositionReport(

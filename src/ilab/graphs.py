@@ -22,8 +22,10 @@ from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
 
-# The most vertices an input file may declare (ilab.formats): decompose pads
-# ids to a power of two, and at 2^18 with all 18 layers in use it peaks at 80 MB
+# The most vertices an input file may declare (ilab.formats). decompose pads
+# ids to a power of two, and orients only the layers dense enough for the
+# increment: `ilab decompose` on n = 2^18 with the edges (0, 2^b), b < 18, one
+# in each layer, peaks at 34 MB RSS (ru_maxrss, CPython 3.11, x86-64 Linux)
 MAX_VERTICES = 1 << 18
 
 

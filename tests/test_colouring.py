@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -205,6 +206,36 @@ def test_colour_forest_matches_reference(f, extra):
 def test_colour_forest_rejects_cycles():
     with pytest.raises(ValueError):
         colour_forest(Graph(3, ((0, 1), (1, 2), (0, 2))))
+
+
+@st.composite
+def forests_across_a_power_of_two(draw):
+    """A random forest whose vertex ids straddle 2^k (some below, some at or
+    above), with the ids in random order."""
+    f = draw(forests())
+    k = draw(st.integers(1, 12))
+    pool = list(range(max(0, (1 << k) - f.vertex_count), (1 << k) + f.vertex_count))
+    ids = draw(st.permutations(pool))[: f.vertex_count]
+    return Graph(max(pool) + 1, tuple((ids[u], ids[v]) for u, v in f.edges))
+
+
+@given(forests_across_a_power_of_two())
+def test_trusted_forest_colouring_revalidates(f):
+    c = colour_forest(f)
+    EdgeColouring(c.graph, dict(c.colours))  # the validating constructor agrees
+    assert c.graph is f
+    assert verify(c).interval
+    # one more edge inside a tree closes a cycle: a tree on three or more
+    # vertices has a non-adjacent pair; otherwise add a triangle on new ids
+    comp = next((vs for vs in f.components() if len(vs) >= 3), None)
+    n, edges = f.vertex_count, set(f.edges)
+    if comp is None:
+        cyclic = Graph(n + 3, f.edges + ((n, n + 1), (n + 1, n + 2), (n, n + 2)))
+    else:
+        extra = next((u, v) for u, v in itertools.combinations(comp, 2) if (u, v) not in edges)
+        cyclic = Graph(n, f.edges + (extra,))
+    with pytest.raises(ValueError, match="cycle"):
+        colour_forest(cyclic)
 
 
 @given(forests())

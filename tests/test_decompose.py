@@ -348,20 +348,90 @@ class TestBitSplit:
                 assert v >> layer.bit & 1 == 1
 
     def test_layers_share_the_padded_ids(self):
-        # one edge in each of 16 layers over 2^16 ids: the layers' tuples hold
-        # 16 * 2^16 pointers (8 MiB), and the id ints are made once (2 MiB);
-        # fresh ints for every layer took 40 MiB
+        # one edge in each of 16 layers over 2^16 ids, every layer oriented
+        # inside the traced window: the layers' tuples hold 16 * 2^16
+        # pointers (8 MiB), and the id ints are made once (2 MiB); fresh ints
+        # for every layer took 40 MiB
         full = 1 << 16
         g = Graph(full, tuple((0, 1 << bit) for bit in range(16)))
         tracemalloc.start()
         try:
             layers = bit_split(g)
+            graphs = [layer.graph for layer in layers]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert [layer.bit for layer in layers] == list(range(16))
-        assert all(len(layer.graph.left) == full // 2 for layer in layers)
+        assert all(len(b.left) == len(b.right) == full // 2 for b in graphs)
         assert peak < 16 << 20, peak
+
+    @staticmethod
+    def reference_layers(g):
+        """The split as first built: each edge oriented from its bit-clear
+        end, each layer's pairs sorted, and both bit classes listed over
+        every padded id; the bit is found by scanning from bit 0."""
+        full = 1 << max(1, math.ceil(math.log2(g.vertex_count)))
+        pairs = {}
+        for u, v in g.edges:
+            bit = next(i for i in itertools.count() if (u >> i & 1) != (v >> i & 1))
+            pairs.setdefault(bit, []).append((u, v) if u >> bit & 1 == 0 else (v, u))
+        return {
+            bit: (
+                tuple(v for v in range(full) if v >> bit & 1 == 0),
+                tuple(v for v in range(full) if v >> bit & 1 == 1),
+                tuple(sorted(es)),
+            )
+            for bit, es in pairs.items()
+        }
+
+    @given(st.integers(2, 130), st.floats(0.0, 0.6), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_split_matches_the_oriented_reference(self, n, p, seed):
+        g = Graph(n, random_graph(n, p, seed))
+        layers = bit_split(g)
+        reference = self.reference_layers(g)
+        assert [layer.bit for layer in layers] == sorted(reference)
+        edge_set = set(g.edges)
+        for layer in layers:
+            # a sorted subsequence of the input's canonical edges, all with
+            # lowest differing bit layer.bit
+            assert list(layer.edges) == sorted(layer.edges)
+            assert all(e in edge_set for e in layer.edges)
+            assert all(((u ^ v) & -(u ^ v)) == 1 << layer.bit for u, v in layer.edges)
+            assert 2 * layer.half == 1 << max(1, math.ceil(math.log2(n)))
+            b = layer.graph
+            assert (b.left, b.right, b.edges) == reference[layer.bit]
+            assert layer.graph is b  # built once
+        covered = sorted(e for layer in layers for e in layer.edges)
+        assert covered == list(g.edges)
+
+    def test_sparse_input_builds_no_bipartite_graph(self, monkeypatch):
+        calls = Counter()
+        trusted = BipartiteGraph._trusted.__func__
+        post_init = BipartiteGraph.__post_init__
+
+        def counting_trusted(cls, *args):
+            calls["_trusted"] += 1
+            return trusted(cls, *args)
+
+        def counting_post_init(self):
+            calls["__post_init__"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(BipartiteGraph, "_trusted", classmethod(counting_trusted))
+        monkeypatch.setattr(BipartiteGraph, "__post_init__", counting_post_init)
+        n = 2048
+        g = Graph(n, random_graph(n, 8 / (n - 1), seed=5))
+        report = decompose_theta(g)
+        assert sum(calls.values()) == 0, calls
+        assert not any(isinstance(part, FactorPart) for part in report.parts)
+        parts = report.part_colourings()
+        assert all(verify(c).interval for c in parts)
+        assert sorted(e for c in parts for e in c.colours) == list(g.edges)
+        # the counters are live: one build of each kind counts once each
+        BipartiteGraph._trusted((0,), (1,), ())
+        BipartiteGraph((0,), (1,), ())
+        assert calls == {"_trusted": 1, "__post_init__": 1}
 
 
 class TestRegularDecomposition:
