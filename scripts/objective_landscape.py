@@ -13,8 +13,8 @@ import sys
 from ilab import objective_check
 
 
-def ridge_value(delta):
-    return 0.5 ** (1.0 - delta) * 1.5
+def objective(x, y, delta):
+    return (x - y) / 100.0 + (1.0 - x) ** (1.0 - delta) + x * y ** (1.0 - delta)
 
 
 def main(argv=None):
@@ -32,10 +32,10 @@ def main(argv=None):
         delta = float(raw)
         rep = objective_check(delta, args.step)
         x, y = rep.argmax
-        below = rep.max_value < 1.0
+        below = rep.bounded_below_one
         all_below &= below
         print(f"{delta:>6.2f} {rep.max_value:>10.6f} {f'({x:.2f},{y:.2f})':>14} "
-              f"{rep.boundary_x0_value:>9.4f} {ridge_value(delta):>14.6f} "
+              f"{objective(0.0, 0.0, delta):>9.4f} {objective(0.5, 0.5, delta):>14.6f} "
               f"{'y' if below else 'N':>3}")
     print("\nall grid maxima below 1" if all_below
           else "\nWARNING: some maximum reached 1")

@@ -364,7 +364,7 @@ def _cmd_objective(args, files: _Files) -> int:
     files.config.update(delta=args.delta, step=args.step)
     x, y = report.argmax
     print(f"max {report.max_value:.4f} at ({x:.2f},{y:.2f}), boundary x=0 excluded")
-    return 0 if report.max_value < 1.0 else 1
+    return 0 if report.bounded_below_one else 1
 
 
 # ---------------------------------------------------------------------------

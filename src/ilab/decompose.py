@@ -590,7 +590,6 @@ MIN_GRID_STEP = 1e-4  # at most 10,000 steps per axis; time grows as 1/step^2
 class ObjectiveReport:
     max_value: float
     argmax: tuple[float, float]
-    boundary_x0_value: float  # sup over the excluded x = 0 edge (exactly 1)
 
     @property
     def bounded_below_one(self) -> bool:
@@ -601,9 +600,8 @@ def objective_check(delta: float, grid_step: float = 0.01) -> ObjectiveReport:
     """Grid maximum of (x-y)/100 + (1-x)^{1-delta} + x y^{1-delta}.
 
     Evaluated over {(x, y): 0 <= y <= min(x, 1/2), 0 <= x <= 1} excluding the
-    x = 0 edge, where the function is identically ~1 (its value there is
-    reported separately). A maximum strictly below 1 is what makes the escape
-    dichotomy sound.
+    x = 0 edge, where y = 0 and the function is exactly 1. A maximum strictly
+    below 1 is what makes the escape dichotomy sound.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -621,4 +619,4 @@ def objective_check(delta: float, grid_step: float = 0.01) -> ObjectiveReport:
         if vals[i] > best:
             best = float(vals[i])
             arg = (float(x), float(ys[i]))
-    return ObjectiveReport(max_value=best, argmax=arg, boundary_x0_value=1.0)
+    return ObjectiveReport(max_value=best, argmax=arg)

@@ -34,9 +34,11 @@ floor(n / 2) edges, so m <= D * floor(n / 2). ``_colour_components`` returns
 None, at 0 nodes, when some component has more edges than that, before it
 searches any.
 
-Both searches explore one mirror half. Reflect a colour c of the window
+Every search gives edge 0 a colour from 0 up to its window's centre. In the
+symmetric window ``[-(W-1), W-1]`` the centre is 0, so that is the pin; in a
+window starting at 0 it is one mirror half. Reflect a colour c of the window
 ``lo..hi`` to lo + hi - c. The window, every per-vertex window constraint,
-the colourable search's pin of edge 0 to the centre and a ``max_colours``
+the pin of edge 0 to the symmetric window's centre and a ``max_colours``
 palette's need for both lo and hi are all invariant under it, so an
 assignment is a solution exactly when its reflection is. Some solution, if
 any exists, therefore has edge 0 at or below the centre, and one with edge 0
@@ -60,10 +62,16 @@ its first colouring's count; ``cap`` is ``planar.certified_colour_cap``,
 floor((3n - 4) / 2) for a component on n vertices that is hereditarily
 3-sparse (planar ones included, unless their 4-core is too large for the
 sparsity check), and W otherwise, so the first success is the maximum.
+Palettes are tried one by one, not bisected: a palette can fail between two
+that succeed (t = 12 on the s = 5 extremal planar graph, between 11 and 13).
+
 ``find_interval_colouring`` under a cap N keeps a first colouring within N
-colours and otherwise walks ``min(N, W)`` down to D, exhaustively. Palettes
-are tried one by one, not bisected: a palette can fail between two that
-succeed (t = 12 on the s = 5 extremal planar graph, between 11 and 13).
+colours and otherwise searches the window ``0..N'-1``, N' = min(N, W), once,
+with no pin and no need for both ends. That is exhaustive: a component's
+colouring uses at most W colours, so one with at most N uses at most N', and
+its colours are contiguous, so it translates into the window. The reflection
+c -> N' - 1 - c maps the window and every vertex window to themselves, so
+the mirror half above carries over unchanged.
 
 Thickness enumerates edge-to-part assignments in restricted-growth order
 (edge 0 in part 0; a new part index may appear only after all smaller ones),
@@ -176,11 +184,12 @@ def _search_component(
 ) -> dict[Edge, int] | None:
     """DFS over one connected edge list with per-vertex window constraints.
 
-    Without ``palette`` the first edge is pinned to the centre of ``lo..hi``;
-    with it, a completed assignment must use both ``lo`` and ``hi``. Either
-    way only one mirror half is searched (see the module docstring). Colour
-    ``c`` is searched as ``c - lo``; each vertex's colours are one bitmask
-    with bit ``c - lo`` set, and the solution dict is built once, on success.
+    The first edge takes a colour from 0 up to the centre of ``lo..hi``: the
+    pin in a symmetric window, one mirror half in a window starting at 0 (see
+    the module docstring). With ``palette`` a completed assignment must use
+    both ``lo`` and ``hi``. Colour ``c`` is searched as ``c - lo``; each
+    vertex's colours are one bitmask with bit ``c - lo`` set, and the
+    solution dict is built once, on success.
     """
     m = len(edges)
     top = hi - lo
@@ -226,10 +235,8 @@ def _search_component(
             (a & -a).bit_length() + deg[u] - 2 if a else top,
             (b & -b).bit_length() + deg[v] - 2 if b else top,
         )
-        if i == 0:  # the mirror half, and the pin
-            last = min(last, mid)
-            if not palette:
-                first = max(first, mid)
+        if i == 0:  # colour 0 up to the centre: the pin, or the mirror half
+            first, last = max(first, -lo), min(last, mid)
         elif i == 1 and 2 * col[0] == top:
             last = min(last, mid - 1)
         busy = a | b
@@ -276,27 +283,18 @@ def _colour_components(
     return found
 
 
-def _first_palette(edges: list[Edge], deg: dict[int, int], top: int, stop: int, meter: _Meter):
-    """The first t from ``top`` down to ``stop`` (exclusive) whose palette
-    ``0..t-1`` colours the component using both ends, with that colouring."""
-    for t in range(top, stop, -1):
-        sol = _search_component(edges, deg, 0, t - 1, meter, palette=True)
-        if sol is not None:
-            return t, sol
-    return None
-
-
 def find_interval_colouring(
     g: Graph, budget: SearchBudget | None = None, max_colours: int | None = None
 ) -> EdgeColouring | None:
     """An interval colouring of ``g``, or None if there is none.
 
     With ``max_colours`` = N every component's colouring starts at 0 and uses
-    at most N colours, and None means some component has none that does (at
-    0 nodes when N is below the max degree). An overfull component (more
-    edges than max degree times half its vertex count, rounded down) gives
-    None before any search; a budget limit that bites first raises
-    SearchBudgetExceeded.
+    at most N colours: a first colouring that uses more is replaced by one
+    search of the window ``0..min(N, W)-1``. None then means some component
+    has none that does (at 0 nodes when N is below the max degree). An
+    overfull component (more edges than max degree times half its vertex
+    count, rounded down) gives None before any search; a budget limit that
+    bites first raises SearchBudgetExceeded.
     """
     if max_colours is not None and max_colours < g.max_degree:
         return None
@@ -307,10 +305,9 @@ def find_interval_colouring(
     colours: dict[Edge, int] = {}
     for edges, deg, window, sol in found:
         if max_colours is not None and len(set(sol.values())) > max_colours:
-            hit = _first_palette(edges, deg, min(max_colours, window), max(deg.values()) - 1, meter)
-            if hit is None:
+            sol = _search_component(edges, deg, 0, min(max_colours, window) - 1, meter)
+            if sol is None:
                 return None
-            sol = hit[1]
         low = 0 if max_colours is None else min(sol.values())
         colours.update({e: c - low for e, c in sol.items()})
     return EdgeColouring(g, colours)
@@ -343,9 +340,11 @@ def max_colours(
                 f"internal error: a colouring with {best_t} colours exceeds "
                 f"the certified cap {cap}"
             )
-        hit = _first_palette(edges, deg, top, best_t, meter)
-        if hit is not None:
-            best_t, best = hit
+        for t in range(top, best_t, -1):
+            sol = _search_component(edges, deg, 0, t - 1, meter, palette=True)
+            if sol is not None:
+                best_t, best = t, sol
+                break
         shift = offset - min(best.values())
         combined.update({e: c + shift for e, c in best.items()})
         offset += best_t

@@ -248,7 +248,6 @@ def test_07_objective_grid_maximum():
     report = objective_check(0.25, 0.01)
     assert report.max_value == pytest.approx(0.9928068134823518, abs=1e-12)
     assert report.argmax == (pytest.approx(0.01), pytest.approx(0.01))
-    assert report.boundary_x0_value == pytest.approx(1.0)
     assert report.bounded_below_one
     # the advertised "< 0.9 with the maximum at (0.5, 0.5)" only describes
     # the interior ridge: f(0.5, 0.5) is a local maximum, but the global

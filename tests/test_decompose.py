@@ -662,7 +662,6 @@ class TestDecomposeTheta:
 class TestObjective:
     def test_frozen_grid_values(self):
         rep = objective_check(0.25, 0.01)
-        assert rep.boundary_x0_value == 1.0
         assert rep.max_value == pytest.approx(0.9928068134823518, abs=1e-12)
         assert rep.argmax == (pytest.approx(0.01), pytest.approx(0.01))
         assert rep.max_value < 1.0

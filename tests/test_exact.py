@@ -101,6 +101,15 @@ def test_colour_cap_holds_for_the_whole_graph_across_components():
                 assert verify(c).interval and count_colours(c) <= cap, (g.edges, cap)
 
 
+def test_colour_cap_searches_one_window():
+    # the pinned first colouring uses 13 colours (70,071 nodes); one search
+    # of the window 0..11 finds an 11-colour one in 477 more, where palette
+    # 12 alone runs past 20M
+    g = Graph(11, random_graph(11, 0.6, seed=438611))
+    c = find_interval_colouring(g, SearchBudget(node_limit=200_000), max_colours=12)
+    assert c is not None and verify(c).interval and count_colours(c) <= 12
+
+
 def test_naive_enumeration_agrees_on_its_range():
     for n in range(1, 6):
         for edges in connected_classes(n):
