@@ -9,12 +9,17 @@ the stdout lines, reports and manifests say; :mod:`ilab.formats` writes
 every file, and sets out what each input file may contain. Output files are
 deterministic byte-for-byte for fixed inputs; colour files are normalised so
 the smallest colour is 0. An output file that cannot be written, the
-manifest included, is an input error (exit 2).
+manifest included, is an input error (exit 2). A command runs with cyclic
+garbage collection paused, and ``main`` gives the caller's collector state
+back when it returns or raises; this is sound because ilab builds no
+reference cycles, which ``tests/test_gc.py`` checks on every subcommand.
+Library calls and ``scripts/`` run under the caller's own collector settings.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import sys
 import time
@@ -299,7 +304,12 @@ def _cmd_probe(args, files: _Files) -> int:
 
 
 def _cmd_gen_planar(args, files: _Files) -> int:
-    removed = frozenset(int(x) for x in args.remove.split(",") if x) if args.remove else frozenset()
+    try:
+        removed = frozenset(int(x) for x in args.remove.split(",") if x)
+    except ValueError:
+        raise ValueError(
+            f"--remove takes comma-separated integers, got {args.remove!r}"
+        ) from None
     spec = FamilySpec(s=args.s, removed_curved=removed, odd=args.odd)
     g, c = extremal_family(spec)
     report = verify(c)
@@ -457,27 +467,35 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = _parser().parse_args(argv)
-    files = _Files()
-    started = time.perf_counter()
+    # with no cycles to find, the collector would only rescan the freshly
+    # parsed edge lists (see the module docstring)
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        code = args.func(args, files)
-        if args.manifest:
-            manifest = {
-                "subcommand": args.command,
-                "argv": argv,
-                "inputs": files.inputs,
-                "outputs": files.outputs,
-                "config": files.config,
-                "exit_code": code,
-                "timing_seconds": round(time.perf_counter() - started, 6),
-            }
-            files.write(args.manifest, serialize_json(manifest))
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return code
+        argv = list(sys.argv[1:]) if argv is None else list(argv)
+        args = _parser().parse_args(argv)
+        files = _Files()
+        started = time.perf_counter()
+        try:
+            code = args.func(args, files)
+            if args.manifest:
+                manifest = {
+                    "subcommand": args.command,
+                    "argv": argv,
+                    "inputs": files.inputs,
+                    "outputs": files.outputs,
+                    "config": files.config,
+                    "exit_code": code,
+                    "timing_seconds": round(time.perf_counter() - started, 6),
+                }
+                files.write(args.manifest, serialize_json(manifest))
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        return code
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -809,9 +809,14 @@ class TestPlanarCommands:
                            "--colours", "0")
         assert code == 0 and "0 colours within the bound" in out
 
-    def test_bad_remove_index(self, capsys):
-        code, _, err = run(capsys, "gen-planar", "--s", "3", "--remove", "7")
-        assert code == 2 and "error:" in err
+    @pytest.mark.parametrize("remove,message", [
+        ("7", "curved edges are indexed 1..1; got [7]"),
+        ("1.5", "--remove takes comma-separated integers, got '1.5'"),
+        ("1,x", "--remove takes comma-separated integers, got '1,x'"),
+    ], ids=["out-of-range", "non-integer", "non-integer-token"])
+    def test_bad_remove_index(self, capsys, remove, message):
+        code, out, err = run(capsys, "gen-planar", "--s", "3", "--remove", remove)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv", [["--s", "131073"], ["--s", "131072", "--odd"]],
                              ids=["even", "odd"])
