@@ -6,8 +6,10 @@ Two experiments in one:
     vertices, taken from networkx's graph atlas, tabulating how many are
     interval colourable, the largest t seen against the (3/2)n - 2 bound, and
     the worst thickness;
-  * pipeline: decompose_theta part counts on random graphs as n grows, next
-    to the ceil(log2 n) layer bound (the constructive upper-bound route).
+  * pipeline: decompose_theta part counts on random graphs as n grows (the
+    constructive upper-bound route), next to the number of first-fit forests
+    of the whole graph (a partition that uses no factor) and the
+    ceil(log2 n) layer bound.
 
 Usage: python scripts/theta_survey.py [--max-n 5] [--pipeline-sizes 32,64,128]
 """
@@ -16,7 +18,7 @@ import argparse
 import random
 import sys
 
-from ilab import Graph, decompose_theta, exact_thickness, max_colours, verify
+from ilab import Graph, decompose_theta, exact_thickness, forest_partition, max_colours, verify
 
 MAX_ATLAS_N = 7  # networkx.graph_atlas_g() lists every graph on 0..7 vertices
 
@@ -46,7 +48,7 @@ def survey_exact(max_n, nx):
 def survey_pipeline(sizes, density, seeds):
     import math
 
-    print(f"\n{'n':>4} {'m':>6} {'parts':>6} {'layers':>7} "
+    print(f"\n{'n':>4} {'m':>6} {'parts':>6} {'forests':>7} {'layers':>7} "
           f"{'log2 bound':>10} {'verified':>8}")
     for n in sizes:
         for seed in range(seeds):
@@ -61,8 +63,8 @@ def survey_pipeline(sizes, density, seeds):
             report = decompose_theta(g)
             ok = all(verify(c).interval for c in report.part_colourings())
             print(f"{n:>4} {g.edge_count:>6} {report.part_count:>6} "
-                  f"{len(report.layers):>7} {math.ceil(math.log2(n)):>10} "
-                  f"{'yes' if ok else 'NO':>8}")
+                  f"{len(forest_partition(g)):>7} {len(report.layers):>7} "
+                  f"{math.ceil(math.log2(n)):>10} {'yes' if ok else 'NO':>8}")
 
 
 def main(argv=None):

@@ -192,17 +192,17 @@ def _cmd_decompose(args, files: _Files) -> int:
         f"across {len(report.layers)} layers"
     )
     if report.stuck_layers:
-        bits = ", ".join(str(b) for b in sorted(set(report.stuck_layers)))
+        bits = ", ".join(str(b) for b in report.stuck_layers)
         print(f"increment stalled on layer bits {bits}; remainder went to forests")
     print("all parts verified interval" if all_ok else "PART VERIFICATION FAILED")
     if args.report:
         parts_doc = []
         for index, part in enumerate(report.parts):
             edges, colours = part.colouring.graph.edges, part.colouring.colours
-            entry = {"index": index, "layer_bit": part.layer_bit, "kind": "forest",
+            entry = {"index": index, "kind": "forest",
                      "edges": edges, "colours": [colours[e] for e in edges]}
             if isinstance(part, FactorPart):
-                entry.update(kind="factor", k=part.k, trace=[
+                entry.update(layer_bit=part.layer_bit, kind="factor", k=part.k, trace=[
                     {"part_size": t.part_size, "density": t.density, "escape": t.escape}
                     for t in part.trace
                 ])
@@ -213,7 +213,7 @@ def _cmd_decompose(args, files: _Files) -> int:
             "delta": cfg.delta,
             "gamma": cfg.gamma,
             "part_count": report.part_count,
-            "stuck_layers": sorted(set(report.stuck_layers)),
+            "stuck_layers": report.stuck_layers,
             "layers": [
                 {
                     "bit": layer.bit,
@@ -231,6 +231,8 @@ def _cmd_decompose(args, files: _Files) -> int:
 def _cmd_gen_lower(args, files: _Files) -> int:
     if args.r < 1:  # checked before the default delta = 1/(1000 r) divides by it
         raise ValueError(f"--r must be at least 1, got {args.r}")
+    if args.seed < 0:  # numpy's own refusal does not name the option
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     delta = args.delta if args.delta is not None else 1.0 / (1000.0 * args.r)
     epsilon = args.epsilon if args.epsilon is not None else delta ** (args.r + 2)
     params = LowerBoundParams(

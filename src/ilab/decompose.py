@@ -5,15 +5,15 @@ the lowest differing bit of the endpoint ids (after padding the vertex count
 to a power of two); inside each layer, repeatedly extract a k-regular
 subgraph while the density is at least N^{-gamma} and colour it by peeling
 perfect matchings (matching j gets colour j, so every covered vertex sees
-{1..k}); once a layer is sparse, partition the remainder into forests
-first-fit and colour each forest directly. Every part produced is interval
-colourable by construction, so the number of parts upper-bounds the interval
-thickness.
+{1..k}). The edges no factor takes, from every layer, go through one first-fit
+forest pass, each forest coloured directly: a forest of any graph is interval
+colourable, so layers matter only for the increment. Every part is interval
+colourable by construction, so the part count upper-bounds the thickness.
 
 The split is one pass over the input's canonical edges, and a layer keeps
 them in that order. Only a layer dense enough for the increment is oriented
 into a ``BipartiteGraph`` (its bit classes over the padded ids); a layer
-below the threshold goes to forests as it is.
+below the threshold is only listed.
 
 The k-regular extraction works by density increment. For an equal-part
 bipartite graph with part size n and density d, either a k-factor exists for
@@ -415,10 +415,13 @@ def matching_decomposition(h: BipartiteGraph) -> list[list[tuple[int, int]]]:
     return matchings
 
 
-def _matching_colours(h: BipartiteGraph) -> dict[Edge, int]:
-    """Matching j gets colour j (1-based), keyed by canonical edge."""
+def _regular_colouring(vertex_count: int, h: BipartiteGraph) -> EdgeColouring:
+    """Matching j gets colour j (1-based), on h's edges as a graph over ids
+    0..vertex_count-1. They are distinct edges of one graph, so canonicalised
+    and sorted they need no re-validation."""
     peel = enumerate(matching_decomposition(h), start=1)
-    return {canonical_edge(u, v): j for j, matching in peel for u, v in matching}
+    colours = {canonical_edge(u, v): j for j, matching in peel for u, v in matching}
+    return EdgeColouring(Graph._trusted(vertex_count, tuple(sorted(colours))), colours)
 
 
 def colour_regular_bipartite(h: BipartiteGraph) -> EdgeColouring:
@@ -427,7 +430,7 @@ def colour_regular_bipartite(h: BipartiteGraph) -> EdgeColouring:
     labels = h.left + h.right
     if min(labels, default=0) < 0:
         raise ValueError(f"label {min(labels)} is not a vertex id")
-    return EdgeColouring(_ambient(max(labels, default=-1) + 1, h.edges), _matching_colours(h))
+    return _regular_colouring(max(labels, default=-1) + 1, h)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +505,6 @@ class FactorPart:
 
 @dataclass
 class ForestPart:
-    layer_bit: int
     colouring: EdgeColouring  # its graph is the forest
 
 
@@ -511,6 +513,7 @@ class DecompositionReport:
     partition: EdgePartition
     parts: list[FactorPart | ForestPart]  # part i is parts[i]
     layers: list[BitLayer]
+    # distinct and ascending: layers ascend, each appended at most once, before its break
     stuck_layers: list[int] = field(default_factory=list)
 
     @property
@@ -522,23 +525,15 @@ class DecompositionReport:
         return [p.colouring for p in self.parts]
 
 
-def _ambient(vertex_count: int, edges) -> Graph:
-    """A layer's edges as a graph on the ambient ids. They are distinct edges
-    of the input graph, so canonicalised and sorted they need no
-    re-validation."""
-    return Graph._trusted(
-        vertex_count, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges))
-    )
-
-
 def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> DecompositionReport:
     """Partition E(g) into interval-colourable parts via the layer pipeline.
 
-    A layer whose density len(edges) / half^2 is below the threshold
-    (2 half)^-gamma goes straight to first-fit forests on its canonical
-    edges and is never oriented. Only a denser layer builds its bipartite
-    graph and extracts k-factors until the rest falls below the threshold
-    (or the increment is stuck); that rest goes to forests.
+    A layer whose density len(edges) / half^2 reaches the threshold
+    (2 half)^-gamma is oriented and yields k-factors until the rest falls
+    below it (or the increment is stuck); a sparser layer is only listed.
+    The edges no factor took then go through one first-fit forest pass in
+    canonical order, which needs no layers: a forest of any graph is
+    interval colourable. Parts: factors in layer order, then forests.
     """
     cfg = cfg or PipelineConfig()
     layers = bit_split(g)
@@ -547,29 +542,27 @@ def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> Decompositio
 
     for layer in layers:
         threshold = (2 * layer.half) ** (-cfg.gamma)
-        remainder = Graph._trusted(g.vertex_count, layer.edges)
-        if len(layer.edges) / (layer.half * layer.half) >= threshold:
-            cur = layer.graph
-            while cur.edges and cur.density >= threshold:
-                try:
-                    k, factor, trace = large_regular_subgraph(cur, cfg)
-                except DensityIncrementStuck:
-                    stuck.append(layer.bit)
-                    break
-                colouring = EdgeColouring(
-                    _ambient(g.vertex_count, factor.edges), _matching_colours(factor)
-                )
-                parts.append(FactorPart(layer.bit, k, colouring, trace))
-                used = set(factor.edges)
-                cur = BipartiteGraph._trusted(
-                    cur.left, cur.right, tuple(e for e in cur.edges if e not in used)
-                )
-            remainder = _ambient(g.vertex_count, cur.edges)
-        parts.extend(
-            ForestPart(layer.bit, colour_forest(forest))
-            for forest in forest_partition(remainder)
-        )
+        if len(layer.edges) / (layer.half * layer.half) < threshold:
+            continue
+        cur = layer.graph
+        while cur.edges and cur.density >= threshold:
+            try:
+                k, factor, trace = large_regular_subgraph(cur, cfg)
+            except DensityIncrementStuck:
+                stuck.append(layer.bit)
+                break
+            colouring = _regular_colouring(g.vertex_count, factor)
+            parts.append(FactorPart(layer.bit, k, colouring, trace))
+            used = set(factor.edges)
+            cur = BipartiteGraph._trusted(
+                cur.left, cur.right, tuple(e for e in cur.edges if e not in used)
+            )
 
+    rest = g
+    if parts:
+        taken = {e for part in parts for e in part.colouring.colours}
+        rest = Graph._trusted(g.vertex_count, tuple(e for e in g.edges if e not in taken))
+    parts.extend(ForestPart(colour_forest(forest)) for forest in forest_partition(rest))
     part_of = {e: i for i, part in enumerate(parts) for e in part.colouring.colours}
     return DecompositionReport(
         partition=EdgePartition(g, part_of, len(parts)),

@@ -221,13 +221,13 @@ class TestDecompose:
         assert [p["index"] for p in doc["parts"]] == list(range(doc["part_count"]))
 
     @pytest.mark.parametrize("n,p,seed,digest", [
-        pytest.param(200, 0.7, 0, "6d16e7a5eaba928949cbcac1142d52e594f75fee6da0c8ede40cf4d6d23fef6f",
+        pytest.param(200, 0.7, 0, "c92ffb16a2e0c6d55334367a7948286212a5a24ca69f8b193539b2f5c3875a17",
                      id="200-0.7-0"),
-        pytest.param(100, 0.8, 1, "5ead4ccd043b6ef8ad29c3650cb23a67de981e21acc33f8b4d6dd1386ba1817c",
+        pytest.param(100, 0.8, 1, "b890d2349dba4d55598bb2b1d264d23d6b9ad21d7edd928c67e62f0808195ab0",
                      id="100-0.8-1"),
-        pytest.param(150, 0.9, 2, "e71cfd247b981e019312193db87418ec503c25fdc5fe288dec872add2f1b662b",
+        pytest.param(150, 0.9, 2, "641e672c48ff0c9cdbc1822cb7815f98347a6c931c66352b61a4e1f4ff8d92a3",
                      id="150-0.9-2"),
-        pytest.param(60, 0.9, 4, "07b559c0a95e21127cb42d78818a77641113c0382f6a2f541a5e735bf31d49fa",
+        pytest.param(60, 0.9, 4, "6c890f2f3b692d758ee1a4603fde36800c1ce3020ea0630d8d2140d396a7db44",
                      id="60-0.9-4"),
     ])
     def test_report_bytes_are_frozen(self, capsys, monkeypatch, tmp_path, n, p, seed, digest):
@@ -262,9 +262,9 @@ class TestDecompose:
         assert got == digest
 
     @pytest.mark.parametrize("n,degree,seed,digest", [
-        pytest.param(3000, 6, 0, "42666b908a84766d47161238d18ccbf96bfcaa0ace2c3f3515d44f1970004207",
+        pytest.param(3000, 6, 0, "8bd9cd4f1ce0819d0cd1d7e3f0f0bdb5373ce659fdb91eec5f4268b6967ea4a8",
                      id="3000-6-0"),
-        pytest.param(2050, 4, 1, "ec464fe737087cfd20c075a10120021ff66a6d9a5db59ff1fe2667c67220c6c3",
+        pytest.param(2050, 4, 1, "d6f2276eb267f6e7b90835d5f29730ddb86015d07bd76be596312aec4b29387c",
                      id="2050-4-1"),
     ])
     def test_sparse_report_bytes_are_frozen(self, capsys, tmp_path, n, degree, seed, digest):
@@ -310,6 +310,14 @@ class TestGenLower:
                              "-o", str(tmp_path / "lb.json"))
         assert code == 2 and out == ""
         assert err.startswith("error:") and "--r" in err
+        assert not (tmp_path / "lb.json").exists()
+
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path):
+        # numpy refuses a negative seed too, but without naming the option
+        code, out, err = run(capsys, "gen-lower", "--r", "2", "--n", "50", "--delta", "0.2",
+                             "--epsilon", "0.01", "--seed", "-1", "-o", str(tmp_path / "lb.json"))
+        assert code == 2 and out == ""
+        assert err == "error: --seed must be non-negative, got -1\n"
         assert not (tmp_path / "lb.json").exists()
 
     def test_nan_epsilon_is_usage_error(self, capsys, tmp_path):

@@ -305,12 +305,16 @@ class TestDegreeRoute:
         assert subset_criterion_value(b, 1, xs, ys) < 0
 
 
-def test_decompose_theta_survives_increment_stuck(monkeypatch):
-    # the stuck escape hatch routes the layer to forests and records it
+def _always_stuck(monkeypatch):
     def always_stuck(b, cfg=None):
         raise DensityIncrementStuck("injected")
 
     monkeypatch.setattr(dec, "large_regular_subgraph", always_stuck)
+
+
+def test_decompose_theta_survives_increment_stuck(monkeypatch):
+    # the stuck escape hatch routes the layer to forests and records it
+    _always_stuck(monkeypatch)
     g = Graph(8, random_graph(8, 0.9, seed=2))
     rep = decompose_theta(g)
     assert rep.stuck_layers
@@ -319,6 +323,42 @@ def test_decompose_theta_survives_increment_stuck(monkeypatch):
     assert all(verify(c).interval for c in parts)
     covered = sorted(e for c in parts for e in c.colours)
     assert covered == sorted(g.edges)
+
+
+# One input per route to the forest pass: a padded dense G(n, p) whose layers
+# yield factors, a sparse graph below every layer's threshold, and the
+# always-stuck increment on a dense graph.
+@pytest.mark.parametrize("route,n,p,seed", [
+    ("padded-dense", 60, 0.9, 4),
+    ("sparse", 600, 4 / 599, 1),
+    ("always-stuck", 8, 0.9, 2),
+])
+def test_forests_are_one_first_fit_pass_over_the_rest(monkeypatch, route, n, p, seed):
+    if route == "always-stuck":
+        _always_stuck(monkeypatch)
+    g = Graph(n, random_graph(n, p, seed))
+    rep = decompose_theta(g)
+    is_factor = [isinstance(part, FactorPart) for part in rep.parts]
+    assert is_factor == sorted(is_factor, reverse=True)  # factors, then forests
+    factors = [part for part, f in zip(rep.parts, is_factor) if f]
+    taken = {e for part in factors for e in part.colouring.colours}
+    rest = Graph(n, [e for e in g.edges if e not in taken])
+    forests = [part.colouring.graph.edges for part, f in zip(rep.parts, is_factor) if not f]
+    assert forests == [f.edges for f in forest_partition(rest)]
+    per_edge = Counter(e for part in rep.parts for e in part.colouring.colours)
+    assert sorted(per_edge) == list(g.edges) and set(per_edge.values()) == {1}
+    if route == "always-stuck":
+        assert rep.stuck_layers and not factors
+        assert forests == [f.edges for f in forest_partition(g)]
+    elif route == "padded-dense":
+        assert factors
+    else:  # below every threshold: no layer reaches the increment
+        cfg = PipelineConfig()
+        assert all(
+            len(layer.edges) / layer.half**2 < (2 * layer.half) ** -cfg.gamma
+            for layer in rep.layers
+        )
+        assert not factors
 
 
 class TestBitSplit:

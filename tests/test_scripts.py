@@ -26,7 +26,7 @@ def load(name):
         pytest.param(
             "theta_survey",
             ["--max-n", "4", "--pipeline-sizes", "16", "--seeds", "1"],
-            [("classes", "colourable", "max t", "worst theta"), ("parts", "log2 bound")],
+            [("classes", "colourable", "max t", "worst theta"), ("parts", "forests", "log2 bound")],
             id="theta_survey",
         ),
         pytest.param(
