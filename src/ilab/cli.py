@@ -231,10 +231,12 @@ def _cmd_decompose(args, files: _Files) -> int:
 def _cmd_gen_lower(args, files: _Files) -> int:
     if args.r < 1:  # checked before the default delta = 1/(1000 r) divides by it
         raise ValueError(f"--r must be at least 1, got {args.r}")
-    if args.seed < 0:  # numpy's own refusal does not name the option
+    if args.seed < 0:  # LowerBoundParams names the field, not the option
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     delta = args.delta if args.delta is not None else 1.0 / (1000.0 * args.r)
     epsilon = args.epsilon if args.epsilon is not None else delta ** (args.r + 2)
+    if epsilon == 0 and args.epsilon is None:
+        raise ValueError("the default --epsilon, delta^(r+2), underflows to 0; pass --epsilon")
     params = LowerBoundParams(
         r=args.r, n=args.n, delta=delta, epsilon=epsilon, seed=args.seed
     )
@@ -254,7 +256,8 @@ def _cmd_gen_lower(args, files: _Files) -> int:
 
 def _cmd_probe(args, files: _Files) -> int:
     lb = parse_layered_json(files.read(args.graph))
-    part_of = parse_partition_json(files.read(args.partition), lb.all_edges())
+    layer_edges = (e for lg in lb.layer_graphs for e in lg.edges)  # any order will do
+    part_of = parse_partition_json(files.read(args.partition), layer_edges)
     files.config.update(budget_scale=args.budget_scale)
     trace = adversarial_probe(lb, part_of, budget_scale=args.budget_scale)
     for st in trace.stages:

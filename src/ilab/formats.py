@@ -30,14 +30,15 @@ Reading follows these rules:
   counted, and a negative edge count is rejected;
 * integer fields must be JSON integers, so floats, booleans and numeric
   strings are rejected; ``delta`` and ``epsilon`` are finite JSON numbers;
-* edges may be written either way round but must be simple: no loops, no
-  duplicates, no ids outside ``0..n-1``;
+* graph, colouring and partition edges may be written either way round
+  but must be simple: no loops, no duplicates, no ids outside ``0..n-1``;
 * a partition names every edge of its layered graph exactly once, and no
   other edge;
-* ``a_layers`` numbers the A vertices ``n, n+1, ...`` consecutively, layer
-  by layer, each layer in ascending order (as ``gen-lower`` writes them);
-* an edge tagged with layer ``i`` joins a ground vertex ``0..n-1`` to a
-  vertex listed in ``a_layers[i - 1]``.
+* ``a_layers`` lists the A ids ``n, n+1, ...`` in order, layer by layer,
+  and ``seed`` is non-negative (as ``gen-lower`` writes both);
+* a layered edge row is ``[b, a, i]``, ground end first: ``1 <= i <= r``,
+  ``b`` in ``0..n-1``, ``a`` in ``a_layers[i - 1]``, no row repeated; one
+  pass checks each of these rules as it sorts the rows into layers.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from itertools import chain
-from typing import Sequence
+from itertools import accumulate, chain
+from typing import Iterable, Sequence
 
 from .colouring import EdgeColouring
 from .graphs import MAX_VERTICES, BipartiteGraph, Edge, Graph, canonical_edge
@@ -187,8 +188,8 @@ def serialize_graph_json(g: Graph) -> str:
 
 
 def _colouring(n: int, edges: Sequence[Sequence[int]], colours: Sequence[int]) -> EdgeColouring:
-    g = _graph(n, edges)  # simple, so the colour keys below are its edges
-    return EdgeColouring(g, {canonical_edge(u, v): c for (u, v), c in zip(edges, colours)})
+    g = _graph(n, edges)  # simple, so the keys below are its edges; colours are ints
+    return EdgeColouring._trusted(g, {canonical_edge(*e): c for e, c in zip(edges, colours)})
 
 
 def parse_colouring_text(text: str) -> EdgeColouring:
@@ -273,34 +274,38 @@ def parse_layered_json(text: str) -> LayeredBipartite:
     a_layers = tuple(map(tuple, _int_rows(doc, "a_layers", None)))
     if len(a_layers) != r:
         raise FormatError(f"expected {r} layers, found {len(a_layers)}")
-    start = n
-    for i, layer in enumerate(a_layers, start=1):
-        if layer != tuple(range(start, start + len(layer))):
-            raise FormatError(f"A_{i} must be the ids {start}..{start + len(layer) - 1} in order")
-        start += len(layer)
-    if start > MAX_VERTICES:
+    bounds = list(accumulate(map(len, a_layers), initial=n))  # A_i: bounds[i - 1] <= id < bounds[i]
+    for i, (layer, start, stop) in enumerate(zip(a_layers, bounds, bounds[1:]), start=1):
+        if layer != tuple(range(start, stop)):
+            raise FormatError(f"A_{i} must be the ids {start}..{stop - 1} in order")
+    if bounds[-1] > MAX_VERTICES:
         raise FormatError(
-            f"n + |A_1| + ... + |A_r| = {start} exceeds the cap of {MAX_VERTICES} vertices"
+            f"n + |A_1| + ... + |A_r| = {bounds[-1]} exceeds the cap of {MAX_VERTICES} vertices"
         )
-    by_layer: list[list[Edge]] = [[] for _ in range(r)]
-    for b, a, i in _int_rows(doc, "edges", 3):
-        if not 1 <= i <= r:
-            raise FormatError(f"edge ({b},{a}) tagged with unknown layer {i}")
-        by_layer[i - 1].append((b, a))
     try:
         params = LowerBoundParams(r, n, doc["delta"], doc["epsilon"], _int(doc, "seed"))
-        ground = tuple(range(n))
-        graphs = tuple(
-            BipartiteGraph(ground, layer, tuple(edges))
-            for layer, edges in zip(a_layers, by_layer)
-        )
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+    # a dict per layer finds repeats, and keeps the file's order, which sorts fastest
+    by_layer: list[dict[Edge, None]] = [{} for _ in range(r)]
+    for b, a, i in _int_rows(doc, "edges", 3):  # every edge rule, once per row
+        if not 1 <= i <= r:
+            raise FormatError(f"edge ({b},{a}) tagged with unknown layer {i}")
+        if not (0 <= b < n and bounds[i - 1] <= a < bounds[i]):
+            raise FormatError(f"edge ({b}, {a}) does not go left->right")
+        if (b, a) in by_layer[i - 1]:
+            raise FormatError(f"duplicate edge ({b}, {a})")
+        by_layer[i - 1][b, a] = None
+    ground = tuple(range(n))
+    graphs = tuple(
+        BipartiteGraph._trusted(ground, layer, tuple(sorted(edges)))
+        for layer, edges in zip(a_layers, by_layer)
+    )
     return LayeredBipartite(params, a_layers, graphs)
 
 
-def parse_partition_json(text: str, graph_edges: Sequence[Edge]) -> dict[Edge, int]:
-    """Part labels keyed by canonical edge, for exactly ``graph_edges``."""
+def parse_partition_json(text: str, graph_edges: Iterable[Edge]) -> dict[Edge, int]:
+    """Part labels keyed by canonical edge, for exactly ``graph_edges``, in any order."""
     doc = _json_object(text, "partition", "edges")
     edges = _int_rows(doc, "edges", 2)
     parts = _int_list(doc, "colours" if "parts" not in doc and "colours" in doc else "parts")

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -68,6 +69,8 @@ class LowerBoundParams:
             raise ValueError("delta must lie in (0, 1)")
         if not self.epsilon > 0:  # also rejects NaN
             raise ValueError("epsilon must be positive")
+        if self.seed < 0:  # numpy's refusal of the stream [seed, i] names no field
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         try:
             worst = self.p(self.r)
         except OverflowError:  # delta^-r beyond the float range
@@ -105,20 +108,12 @@ class LowerBoundParams:
 
 @dataclass(frozen=True)
 class LayeredBipartite:
-    """The layers over B. Ground ids lie below every A id, so each layer edge
-    ``(b, a)`` is already in canonical form."""
+    """The layers over B = 0..params.n-1. Ground ids lie below every A id, so
+    each layer edge ``(b, a)`` is already in canonical form."""
 
     params: LowerBoundParams
     a_layers: tuple[tuple[int, ...], ...]  # a_layers[i-1] = ids of A_i
     layer_graphs: tuple[BipartiteGraph, ...]  # left side is always B
-
-    @property
-    def n(self) -> int:
-        return self.params.n
-
-    @property
-    def ground(self) -> tuple[int, ...]:
-        return tuple(range(self.n))
 
     def all_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(e for lg in self.layer_graphs for e in lg.edges))
@@ -367,7 +362,7 @@ def validate_spread_witness(
         return False, "pivot lies inside the piece"
     h_edges: list[Edge] = []  # part edges inside the piece
     pivot_hits: list[int] = []  # piece ends of the pivot's part edges
-    for e in lb.all_edges():
+    for e in chain.from_iterable(lg.edges for lg in lb.layer_graphs):
         inside = (e[0] in hset) + (e[1] in hset)
         if inside and part_of.get(e) == w.part:
             if inside == 2:
@@ -487,7 +482,7 @@ def adversarial_probe(
         raise ValueError(f"budget_scale must be positive and finite, got {budget_scale}")
     params = lb.params
     trace = ProbeTrace(budget_scale=budget_scale)
-    ground: set[int] = set(lb.ground)
+    ground: set[int] = set(range(params.n))
     # (part, K_i, B_i, degree cap of K_i)
     used: list[tuple[int, DenseSubgraphReport, set[int], int]] = []
 
@@ -547,7 +542,7 @@ def adversarial_probe(
             DensePartHypothesis(p_k, params.r).alpha,
             p_k,
             trials=100,
-            seed=abs(params.seed * 100_003 + k),
+            seed=params.seed * 100_003 + k,
         )
         hyp = StageHypotheses(ok_b, pseudo.ok)
 

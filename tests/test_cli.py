@@ -327,6 +327,14 @@ class TestGenLower:
         assert code == 2 and err == "error: epsilon must be positive\n"
         assert not (tmp_path / "lb.json").exists()
 
+    def test_underflowing_default_epsilon_is_usage_error(self, capsys, tmp_path):
+        # delta^(r+2) = (1/70000)^72 is below the smallest float
+        code, out, err = run(capsys, "gen-lower", "--r", "70", "--n", "10",
+                             "-o", str(tmp_path / "lb.json"))
+        assert code == 2 and out == ""
+        assert err == "error: the default --epsilon, delta^(r+2), underflows to 0; pass --epsilon\n"
+        assert not (tmp_path / "lb.json").exists()
+
 
 @pytest.fixture
 def layered(capsys, tmp_path):
@@ -594,6 +602,41 @@ class TestMalformedInput:
         code, out, err = run(capsys, "probe", tmp_path / "lb.json", tmp_path / "parts.json")
         assert code == 2 and out == ""
         assert err.startswith("error: A_") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "rows,error",
+        [
+            pytest.param([[15, 0, 1]], "edge (15, 0) does not go left->right", id="a-end-first"),
+            pytest.param([[0, 15, 2]], "edge (0, 15) does not go left->right", id="other-layer"),
+            pytest.param([[12, 15, 1]], "edge (12, 15) does not go left->right", id="ground-end-n"),
+            pytest.param([[-1, 15, 1]], "edge (-1, 15) does not go left->right",
+                         id="negative-ground-end"),
+            pytest.param([[0, 15, 3]], "edge (0,15) tagged with unknown layer 3",
+                         id="unknown-layer"),
+            pytest.param([[0, 15, 1]] * 2, "duplicate edge (0, 15)", id="repeated-edge"),
+        ],
+    )
+    def test_one_faulty_edge_row(self, capsys, tmp_path, rows, error):
+        # the fuzz gate's layered graph with its first edge row replaced; each
+        # fault has its own error line, which these pin byte for byte
+        doc = json.loads(FUZZ_FILES["lb.json"])
+        assert doc["n"] == 12 and doc["edges"][0] == [0, 15, 1]
+        doc["edges"][:1] = rows
+        (tmp_path / "lb.json").write_text(json.dumps(doc))
+        (tmp_path / "parts.json").write_text(FUZZ_FILES["parts.json"])
+        code, out, err = run(capsys, "probe", tmp_path / "lb.json", tmp_path / "parts.json")
+        assert code == 2 and out == ""
+        assert err == f"error: {error}\n"
+
+    def test_layered_seed_is_non_negative(self, capsys, tmp_path):
+        # no gen-lower run writes a negative seed, and generate refuses one
+        doc = json.loads(FUZZ_FILES["lb.json"])
+        doc["seed"] = -1
+        (tmp_path / "lb.json").write_text(json.dumps(doc))
+        (tmp_path / "parts.json").write_text(FUZZ_FILES["parts.json"])
+        code, out, err = run(capsys, "probe", tmp_path / "lb.json", tmp_path / "parts.json")
+        assert code == 2 and out == ""
+        assert err == "error: seed must be non-negative, got -1\n"
 
     @pytest.mark.parametrize("name", ["g.txt", "g.json", "lb.json", "lb-a_layers.json"])
     def test_vertex_count_above_the_cap(self, capsys, tmp_path, name):

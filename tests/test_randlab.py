@@ -8,6 +8,7 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ilab import (
     DensePartHypothesis,
@@ -83,6 +84,11 @@ class TestParams:
         with pytest.raises(ValueError):
             LowerBoundParams(r=2, n=100, delta=0.1, epsilon=0.5)
 
+    def test_rejects_negative_seed(self):
+        # numpy's stream [seed, i] refuses it too, without naming the field
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            LowerBoundParams(r=2, n=100, delta=0.1, epsilon=1e-4, seed=-1)
+
     def test_layer_sizes_never_empty(self):
         p = LowerBoundParams.preset(2, 1000)
         assert p.layer_size(1) >= 1 and p.layer_size(2) >= 1
@@ -156,6 +162,43 @@ class TestGenerate:
         text = serialize_layered_json(lb)
         assert text == json.dumps(doc, sort_keys=True, indent=1) + "\n"
         assert parse_layered_json(text) == lb
+
+    def test_parse_builds_no_validating_bipartite_graph(self, monkeypatch):
+        text = serialize_layered_json(
+            generate(LowerBoundParams(r=3, n=150, delta=0.2, epsilon=0.005, seed=3))
+        )
+        calls = []
+        post_init = BipartiteGraph.__post_init__
+
+        def counting_post_init(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(BipartiteGraph, "__post_init__", counting_post_init)
+        lb = parse_layered_json(text)
+        assert calls == [] and sum(lg.edge_count for lg in lb.layer_graphs) > 0
+        BipartiteGraph((0,), (1,), ())  # the counter is live
+        assert len(calls) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r=st.integers(1, 3),
+        n=st.integers(1, 60),
+        delta=st.sampled_from([0.2, 0.3, 0.5]),
+        fill=st.floats(0.05, 0.9),
+        seed=st.integers(0, 2**32),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_parse_takes_edge_rows_in_any_order(self, r, n, delta, fill, seed, order):
+        # the reader sorts each layer itself, so rows of every layer may mix
+        lb = generate(LowerBoundParams(r, n, delta, fill * delta**r, seed))
+        doc = json.loads(serialize_layered_json(lb))
+        order.shuffle(doc["edges"])
+        parsed = parse_layered_json(json.dumps(doc))
+        assert parsed.params == lb.params and parsed.a_layers == lb.a_layers
+        assert [(lg.left, lg.right, lg.edges) for lg in parsed.layer_graphs] == [
+            (lg.left, lg.right, tuple(sorted(lg.edges))) for lg in lb.layer_graphs
+        ]
 
     def test_parse_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
