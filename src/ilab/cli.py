@@ -14,6 +14,9 @@ garbage collection paused, and ``main`` gives the caller's collector state
 back when it returns or raises; this is sound because ilab builds no
 reference cycles, which ``tests/test_gc.py`` checks on every subcommand.
 Library calls and ``scripts/`` run under the caller's own collector settings.
+The argument parser, whose actions do point back at their parsers, is built
+once per process and cached; each subcommand's handler is looked up by name
+when it runs.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import hashlib
 import sys
 import time
 from dataclasses import asdict
+from functools import cache
 
 from .colouring import EdgeColouring, count_colours, verify
 from .decompose import FactorPart, PipelineConfig, decompose_theta, objective_check
@@ -184,7 +188,9 @@ def _cmd_decompose(args, files: _Files) -> int:
     cfg = PipelineConfig(delta=args.delta)
     files.config.update(delta=cfg.delta, gamma=cfg.gamma)
     report = decompose_theta(g, cfg)
-    all_ok = all(verify(c).interval for c in report.part_colourings())
+    all_ok = report.covers_each_edge_once() and all(
+        verify(c).interval for c in report.part_colourings()
+    )
     regular = sum(isinstance(part, FactorPart) for part in report.parts)
     print(
         f"{g.edge_count} edges -> {report.part_count} parts "
@@ -386,20 +392,22 @@ def _cmd_objective(args, files: _Files) -> int:
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
+@cache
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="ilab", description="interval edge-colouring laboratory"
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, handler):
         p.add_argument("--manifest", help="write a run manifest JSON here")
+        # looked up at each call, so the cached parser runs a replaced handler
+        p.set_defaults(func=lambda args, files: globals()[handler](args, files))
 
     p = sub.add_parser("check", help="verify a colouring file against a graph")
     p.add_argument("graph")
     p.add_argument("colouring")
-    common(p)
-    p.set_defaults(func=_cmd_check)
+    common(p, "_cmd_check")
 
     p = sub.add_parser("solve", help="exact search: colourability, max colours, thickness")
     p.add_argument("graph")
@@ -411,15 +419,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--node-limit", type=int, default=5_000_000)
     p.add_argument("--time-limit", type=float, default=None, help="positive seconds")
     p.add_argument("-o", "--out", help="write the witness colouring/partition here")
-    common(p)
-    p.set_defaults(func=_cmd_solve)
+    common(p, "_cmd_solve")
 
     p = sub.add_parser("decompose", help="partition into interval-colourable parts")
     p.add_argument("graph")
     p.add_argument("--delta", type=float, default=0.25)
     p.add_argument("--report", help="write the full JSON report here")
-    common(p)
-    p.set_defaults(func=_cmd_decompose)
+    common(p, "_cmd_decompose")
 
     p = sub.add_parser("gen-lower", help="generate the layered random bipartite graph")
     p.add_argument("--r", type=int, required=True)
@@ -428,16 +434,14 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None, help="default delta^(r+2)")
     p.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
     p.add_argument("-o", "--out", required=True, help="output JSON path")
-    common(p)
-    p.set_defaults(func=_cmd_gen_lower)
+    common(p, "_cmd_gen_lower")
 
     p = sub.add_parser("probe", help="probe an edge partition of a layered graph")
     p.add_argument("graph", help="layered-bipartite JSON from gen-lower")
     p.add_argument("partition", help='JSON {"edges": [[u,v],...], "parts": [...]}')
     p.add_argument("--budget-scale", type=float, default=1.0)
     p.add_argument("--report", help="write the probe trace JSON here")
-    common(p)
-    p.set_defaults(func=_cmd_probe)
+    common(p, "_cmd_probe")
 
     p = sub.add_parser("gen-planar", help="generate the extremal planar family")
     p.add_argument("--s", type=int, required=True, help="number of ladder columns")
@@ -445,28 +449,24 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--odd", action="store_true", help="append the pendant vertex")
     p.add_argument("-o", "--out", help="graph output path")
     p.add_argument("-c", "--colouring-out", help="colouring output path")
-    common(p)
-    p.set_defaults(func=_cmd_gen_planar)
+    common(p, "_cmd_gen_planar")
 
     p = sub.add_parser("split", help="split a colouring at a unique interior colour")
     p.add_argument("graph")
     p.add_argument("colouring")
     p.add_argument("-o", "--out", help="prefix for the two half colouring files")
-    common(p)
-    p.set_defaults(func=_cmd_split)
+    common(p, "_cmd_split")
 
     p = sub.add_parser("bound", help="hereditary sparsity and the colour-count bound")
     p.add_argument("graph")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--colours", type=int, default=None, help="colour count to test")
-    common(p)
-    p.set_defaults(func=_cmd_bound)
+    common(p, "_cmd_bound")
 
     p = sub.add_parser("objective", help="grid-check the escape dichotomy objective")
     p.add_argument("--delta", type=float, default=0.25)
     p.add_argument("--step", type=float, default=0.01)
-    common(p)
-    p.set_defaults(func=_cmd_objective)
+    common(p, "_cmd_objective")
 
     return top
 

@@ -510,7 +510,7 @@ class ForestPart:
 
 @dataclass
 class DecompositionReport:
-    partition: EdgePartition
+    graph: Graph  # the decomposed graph
     parts: list[FactorPart | ForestPart]  # part i is parts[i]
     layers: list[BitLayer]
     # distinct and ascending: layers ascend, each appended at most once, before its break
@@ -518,11 +518,37 @@ class DecompositionReport:
 
     @property
     def part_count(self) -> int:
-        return self.partition.part_count
+        return len(self.parts)
+
+    @cached_property
+    def partition(self) -> EdgePartition:
+        """The parts as an ``EdgePartition`` of ``graph``, validated when first read."""
+        part_of = {e: i for i, part in enumerate(self.parts) for e in part.colouring.colours}
+        return EdgePartition(self.graph, part_of, len(self.parts))
 
     def part_colourings(self) -> list[EdgeColouring]:
         """Colourings in part-index order, each on the ambient graph's vertices."""
         return [p.colouring for p in self.parts]
+
+    def covers_each_edge_once(self) -> bool:
+        """Whether every edge of ``graph`` lies in exactly one part.
+
+        The part sizes must sum to m (which sizes the array), and the parts'
+        edges, sorted, must be ``graph.edges``, which are sorted and
+        distinct: then no edge is missing, repeated or foreign.
+        """
+        g = self.graph
+        m = g.edge_count
+        if sum(len(p.colouring.colours) for p in self.parts) != m:
+            return False
+        got = _edge_array(chain.from_iterable(p.colouring.colours for p in self.parts), m)
+        got = got[np.lexsort((got[:, 1], got[:, 0]))]
+        return bool(np.array_equal(got, _edge_array(g.edges, m)))
+
+
+def _edge_array(edges, m: int) -> np.ndarray:
+    """``m`` edges (u, v) as the rows of an m x 2 array, in their order."""
+    return np.fromiter(chain.from_iterable(edges), np.int64, 2 * m).reshape(m, 2)
 
 
 def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> DecompositionReport:
@@ -563,9 +589,8 @@ def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> Decompositio
         taken = {e for part in parts for e in part.colouring.colours}
         rest = Graph._trusted(g.vertex_count, tuple(e for e in g.edges if e not in taken))
     parts.extend(ForestPart(colour_forest(forest)) for forest in forest_partition(rest))
-    part_of = {e: i for i, part in enumerate(parts) for e in part.colouring.colours}
     return DecompositionReport(
-        partition=EdgePartition(g, part_of, len(parts)),
+        graph=g,
         parts=parts,
         layers=layers,
         stuck_layers=stuck,

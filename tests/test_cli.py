@@ -27,6 +27,7 @@ from ilab.formats import (
     serialize_graph_text,
     serialize_layered_json,
 )
+from ilab.graphs import Graph
 from ilab.planar import SPARSITY_CORE_EDGE_LIMIT, FamilySpec, extremal_family
 from ilab.randlab import LowerBoundParams, generate
 
@@ -74,6 +75,13 @@ class TestCheck:
         c = files("c.txt", "3 2\n0 1 0\n1 2 0\n")
         code, out, _ = run(capsys, "check", g, c)
         assert code == 1 and out.startswith("not proper")
+
+    def test_colours_beyond_int64_are_exact(self, capsys, files):
+        # 10**30 does not fit a machine integer; cast to one it would not stay 1 apart
+        g = files("p.txt", PATH)
+        c = files("c.txt", f"3 2\n0 1 {10**30}\n1 2 {10**30 + 1}\n")
+        code, out, _ = run(capsys, "check", g, c)
+        assert code == 0 and out == "interval, 2 colours\n"
 
     def test_mismatched_files(self, capsys, files):
         g = files("t.txt", TRIANGLE)
@@ -219,6 +227,23 @@ class TestDecompose:
         doc = json.loads((tmp_path / "r1.json").read_text())
         assert doc["m"] == len(edges) and len(doc["parts"]) == doc["part_count"]
         assert [p["index"] for p in doc["parts"]] == list(range(doc["part_count"]))
+
+    @pytest.mark.parametrize("change", ["edge-in-two-parts", "edge-in-no-part"])
+    def test_parts_must_cover_each_edge_once(self, capsys, files, monkeypatch, change):
+        # the path's layer-0 edges form a factor and (1, 2) is the one forest;
+        # every part is still interval, so only the cover check can fail
+        first_fit = dec.forest_partition
+
+        def broken(g):
+            *forests, last = first_fit(g)
+            if change == "edge-in-two-parts":
+                return [*forests, last, Graph(g.vertex_count, last.edges[:1])]
+            return [*forests, Graph(g.vertex_count, last.edges[1:])]
+
+        monkeypatch.setattr(dec, "forest_partition", broken)
+        code, out, err = run(capsys, "decompose", files("p.txt", "4 3\n0 1\n1 2\n2 3\n"))
+        assert code == 1 and err == ""
+        assert out.endswith("\nPART VERIFICATION FAILED\n")
 
     @pytest.mark.parametrize("n,p,seed,digest", [
         pytest.param(200, 0.7, 0, "c92ffb16a2e0c6d55334367a7948286212a5a24ca69f8b193539b2f5c3875a17",

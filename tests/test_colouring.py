@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ilab import EdgeColouring, Graph, colour_forest, count_colours, spread_cap, spread_check, verify
 from ilab.colouring import ColouringReport
@@ -157,6 +157,60 @@ def test_verify_matches_naive_reference():
         assert got == naive_report(n, colours), colours
         kinds.add((got.proper, got.interval))
     assert kinds == {(True, True), (True, False), (False, False)}
+
+
+def dict_of_lists_report(c):
+    """The verifier before its array pass: each vertex's colours gathered in
+    a dict of lists, then checked in ascending vertex order."""
+    at = {}
+    for (u, v), colour in c.colours.items():
+        at.setdefault(u, []).append(colour)
+        at.setdefault(v, []).append(colour)
+    violation, proper, interval = None, True, True
+    for v in sorted(at):
+        cols = sorted(at[v])
+        if len(set(cols)) != len(cols):
+            proper = interval = False
+            if violation is None:
+                violation = (v, f"repeated colour at vertex {v}: {cols}")
+            continue
+        if cols[-1] - cols[0] != len(cols) - 1:
+            interval = False
+            if violation is None:
+                violation = (v, f"colours at vertex {v} not contiguous: {cols}")
+    values = list(c.colours.values())
+    return ColouringReport(
+        proper, interval, len(set(values)), min(values) if values else None,
+        max(values) if values else None, violation,
+    )
+
+
+@st.composite
+def oracle_colourings(draw):
+    """Graphs on at most 9 vertices, the empty graph included, coloured with
+    repeats, gaps and negative colours around 0 and +-10**30; two bases in
+    one colouring put more than 2**63 between its colours."""
+    n = draw(st.integers(0, 9))
+    bases = draw(st.lists(st.sampled_from((0, -10**30, 10**30)), min_size=1, max_size=2))
+    offset = st.integers(-3, 3)
+    if draw(st.booleans()):
+        # a forest's interval colouring, shifted, with a few edges nudged
+        f = Graph(n, tuple((draw(st.integers(0, v - 1)), v)
+                           for v in range(1, n) if draw(st.booleans())))
+        colours = {e: bases[0] + col for e, col in colour_forest(f).colours.items()}
+        for e in draw(st.lists(st.sampled_from(f.edges), max_size=2)) if f.edges else ():
+            colours[e] += draw(offset)
+    else:
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        colours = {e: draw(st.sampled_from(bases)) + draw(offset) for e in edges}
+    return EdgeColouring(Graph(n, tuple(colours)), colours)
+
+
+@settings(max_examples=300)
+@given(oracle_colourings())
+def test_verify_matches_the_dict_of_lists_verifier(c):
+    assert verify(c) == dict_of_lists_report(c)
 
 
 @st.composite

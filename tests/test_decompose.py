@@ -11,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 import ilab.decompose as dec
 from conftest import random_graph
-from ilab import Graph, verify
+from ilab import Graph, colour_forest, verify
 from ilab.decompose import (
+    DecompositionReport,
     DensityIncrementStuck,
     FactorPart,
+    ForestPart,
     PipelineConfig,
     bit_split,
     colour_regular_bipartite,
@@ -683,6 +685,21 @@ class TestDecomposeTheta:
                 seen[e] = idx
         assert set(seen) == set(g.edges)
         assert all(rep.partition.part_of[e] == i for e, i in seen.items())
+
+    def test_cover_check_sees_a_repeated_or_missing_edge(self):
+        g = Graph(30, random_graph(30, 0.2, seed=0))
+        rep = decompose_theta(g)
+        assert rep.covers_each_edge_once()
+        rep.parts.append(rep.parts[0])
+        assert not rep.covers_each_edge_once()
+        del rep.parts[-2:]  # the last forest's edges now lie in no part
+        assert not rep.covers_each_edge_once()
+        with pytest.raises(ValueError, match="domain mismatch"):
+            rep.partition  # built and validated when first read
+        # the sizes sum to m, but (0, 1) is in both parts and (2, 3) in none
+        path = Graph(4, ((0, 1), (1, 2), (2, 3)))
+        parts = [ForestPart(colour_forest(Graph(4, es))) for es in (((0, 1), (1, 2)), ((0, 1),))]
+        assert not DecompositionReport(path, parts, []).covers_each_edge_once()
 
     def test_dense_layers_yield_regular_parts(self):
         g = Graph(64, random_graph(64, 0.9, seed=2))
