@@ -44,19 +44,22 @@ restriction whose density ratio satisfies d'/d >= (n/n')^delta. Every count
 comes from the degree table and the edges at A: e(A, C) counts the edges at
 A that end in C, e(D, F) is the degree sum over D, a vertex of F has
 deg - |N(v) & A| neighbours in D, and a restriction's edges are the kept
-counts. No adjacency table is built. The potential
-d_i * n_i^delta never decreases along the trace, and part sizes strictly
-shrink, so the loop terminates in a factor.
+counts. These are array passes over ``BipartiteGraph.ends``, the positions
+of each edge's ends in its sides: ``BitLayer.graph`` derives it once per
+dense layer from the padded ids, and every restriction, factor and
+remainder the increment makes is handed its slice of it. No adjacency
+table is built outside the factor search, whose Hopcroft–Karp rows are cut
+from one sorted copy of that view. The potential d_i * n_i^delta never decreases along the trace,
+and part sizes strictly shrink, so the loop terminates in a factor.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain
+from itertools import accumulate, chain, compress
 from typing import Callable
 
 import numpy as np
@@ -99,6 +102,11 @@ class PipelineConfig:
 # bit split
 # ---------------------------------------------------------------------------
 
+def _edge_array(edges, m: int) -> np.ndarray:
+    """``m`` edges (u, v) as the rows of an m x 2 array, in their order."""
+    return np.fromiter(chain.from_iterable(edges), np.int64, 2 * m).reshape(m, 2)
+
+
 @dataclass(frozen=True)
 class BitLayer:
     """The input's edges whose endpoint ids first differ at ``bit``.
@@ -119,12 +127,21 @@ class BitLayer:
         """Left the padded ids with ``bit`` clear, right those with it set
         (ascending), and each edge oriented left to right, sorted. Every
         layer of one split reads the same id tuple, so the id ints are made
-        once."""
+        once. The pair's ``ends`` are derived here, in arrays: an id's
+        position in its class is the id with ``bit`` deleted."""
         ids, bit = self.padded_ids(), self.bit
         left = tuple(v for v in ids if not (v >> bit) & 1)
         right = tuple(v for v in ids if (v >> bit) & 1)
-        edges = tuple(sorted((v, u) if (u >> bit) & 1 else (u, v) for u, v in self.edges))
-        return BipartiteGraph._trusted(left, right, edges)
+        uv = _edge_array(self.edges, len(self.edges))
+        flip = ((uv[:, 0] >> bit) & 1).astype(bool)
+        lo = np.where(flip, uv[:, 1], uv[:, 0])
+        hi = np.where(flip, uv[:, 0], uv[:, 1])
+        order = np.argsort(lo * (2 * self.half) + hi)  # distinct keys, ids < 2 half
+        lo, hi = lo[order], hi[order]
+        low = (1 << bit) - 1
+        ends = ((lo >> (bit + 1) << bit) | (lo & low), (hi >> (bit + 1) << bit) | (hi & low))
+        edges = tuple(zip(lo.tolist(), hi.tolist()))
+        return BipartiteGraph._trusted(left, right, edges, ends)
 
 
 def bit_split(g: Graph) -> list[BitLayer]:
@@ -169,10 +186,27 @@ class KFactorWitness:
 
 
 def subset_criterion_value(b: BipartiteGraph, k: int, xs, ys) -> int:
-    """k*n + e(X, Y) - k|X| - k|Y| (negative iff (X, Y) violates)."""
+    """k*n + e(X, Y) - k|X| - k|Y| (negative iff (X, Y) violates), counted
+    over the labelled edges, independently of ``b.ends``."""
     xset, yset = set(xs), set(ys)
     e_xy = sum(1 for u, v in b.edges if u in xset and v in yset)
     return k * len(b.left) + e_xy - k * len(xset) - k * len(yset)
+
+
+def _rows(lp: np.ndarray, rp: np.ndarray, n: int) -> list[list[int]]:
+    """Row i lists the right positions of the edges at left position i, in
+    edge order: one stable sort by left end, cut at the running degrees."""
+    flat = rp[lp.argsort(kind="stable")].tolist()
+    cuts = list(accumulate(np.bincount(lp, minlength=n).tolist()))
+    return [flat[i:j] for i, j in zip([0] + cuts, cuts)]
+
+
+def _factor(b: BipartiteGraph, chosen: np.ndarray) -> BipartiteGraph:
+    """The spanning subgraph of b on the edges with the ascending indices
+    ``chosen``, with its slice of ``b.ends``."""
+    lp, rp = b.ends
+    edges = tuple(map(b.edges.__getitem__, chosen.tolist()))
+    return BipartiteGraph._trusted(b.left, b.right, edges, (lp[chosen], rp[chosen]))
 
 
 def find_k_factor(b: BipartiteGraph, k: int) -> KFactorWitness:
@@ -184,7 +218,8 @@ def find_k_factor(b: BipartiteGraph, k: int) -> KFactorWitness:
     reached from the free ones, Y = the right vertices outside their
     neighbourhood. For k >= 2 the pair is read off the source side of a Dinic
     min cut. Both give the same pair, the residual-reachable side of every
-    maximum flow, so only the choice of factor depends on the route.
+    maximum flow, so only the choice of factor depends on the route. Vertex
+    i of either network is position i of its side, read from ``b.ends``.
     """
     n = len(b.left)
     if n != len(b.right):
@@ -193,43 +228,39 @@ def find_k_factor(b: BipartiteGraph, k: int) -> KFactorWitness:
         raise ValueError(f"k={k} out of range for part size {n}")
     if k == 0:
         return KFactorWitness(BipartiteGraph._trusted(b.left, b.right, ()), None)
-    lpos = {u: i for i, u in enumerate(b.left)}
-    rpos = {v: i for i, v in enumerate(b.right)}
+    lp, rp = b.ends
     if k == 1:
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for u, v in b.edges:
-            adjacency[lpos[u]].append(rpos[v])
+        adjacency = _rows(lp, rp, n)
         match, reached = hopcroft_karp(n, n, adjacency)
         if len(match) == n:
-            chosen = tuple(sorted((b.left[i], b.right[j]) for i, j in match.items()))
-            factor = BipartiteGraph._trusted(b.left, b.right, chosen)
-            return KFactorWitness(factor, None)
-        reached_r = {j for i in reached for j in adjacency[i]}
-        xs = tuple(u for u in b.left if lpos[u] in reached)
-        ys = tuple(v for v in b.right if rpos[v] not in reached_r)
+            partner = np.array([match[i] for i in range(n)], np.intp)
+            return KFactorWitness(_factor(b, (partner[lp] == rp).nonzero()[0]), None)
+        in_x = np.zeros(n, bool)
+        in_x[list(reached)] = True
+        in_y = np.ones(n, bool)
+        in_y[rp[in_x[lp]]] = False
     else:
         source, sink = 2 * n, 2 * n + 1
         net = Dinic(2 * n + 2)
         for i in range(n):
             net.add_edge(source, i, k)
             net.add_edge(n + i, sink, k)
-        mid = {}
-        for u, v in b.edges:
-            mid[(u, v)] = net.add_edge(lpos[u], n + rpos[v], 1)
+        arcs = [net.add_edge(i, n + j, 1) for i, j in zip(lp.tolist(), rp.tolist())]
         flow = net.max_flow(source, sink)
         if flow == k * n:
-            chosen = tuple(e for e, idx in mid.items() if net.flow_on(idx) == 1)
-            factor = BipartiteGraph._trusted(b.left, b.right, chosen)
-            return KFactorWitness(factor, None)
-        side = net.min_cut_source_side()
-        xs = tuple(u for u in b.left if lpos[u] in side)
-        ys = tuple(v for v in b.right if (n + rpos[v]) not in side)
-    witness = KFactorWitness(None, (xs, ys))
+            used = [t for t, idx in enumerate(arcs) if net.flow_on(idx) == 1]
+            return KFactorWitness(_factor(b, np.array(used, np.intp)), None)
+        in_cut = np.zeros(2 * n + 2, bool)
+        in_cut[list(net.min_cut_source_side())] = True
+        in_x, in_y = in_cut[:n], ~in_cut[n : 2 * n]
+    xs = tuple(compress(b.left, in_x.tobytes()))
+    ys = tuple(compress(b.right, in_y.tobytes()))
     # cut capacity = k(n-|X|) + k(n-|Y|) + e(X,Y) = flow < kn, hence strict
-    slack = subset_criterion_value(b, k, xs, ys)
+    e_xy = int(np.count_nonzero(in_x[lp] & in_y[rp]))
+    slack = k * n + e_xy - k * len(xs) - k * len(ys)
     if slack >= 0:
         raise DichotomyBug(f"min cut produced a non-violating pair (slack {slack})")
-    return witness
+    return KFactorWitness(None, (xs, ys))
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +278,15 @@ class IncrementStep:
 
 
 def _top_by_degree(
-    scores: dict[int, int], size: int, delta: float
-) -> tuple[float, list[int]]:
+    scores: np.ndarray, labels: np.ndarray, size: int, delta: float
+) -> tuple[float, np.ndarray]:
     """Potential d' * size^delta of the square restriction on the `size`
-    top-scored labels (ties by label), and those labels; a score counts edges
-    into the other side, so the kept scores sum to the restriction's edges.
+    top-scored labels (ties by label), and the indices of those labels; a
+    score counts edges into the other side, so the kept scores sum to the
+    restriction's edges.
     """
-    kept = sorted(scores, key=lambda x: (-scores[x], x))[:size]
-    edges = sum(scores[x] for x in kept)
+    kept = np.lexsort((labels, -scores))[:size]
+    edges = int(scores[kept].sum())
     return edges / (size * size) * size**delta, kept
 
 
@@ -265,7 +297,7 @@ def density_increment_step(b: BipartiteGraph, cfg: PipelineConfig) -> IncrementS
     (left on ties) against the whole other class, X = deficient left, Y = R
     or X = L, Y = deficient right, with slack sum (deg - k) < 0 over the
     deficient set. Only a layer with no deficient vertex goes to
-    ``find_k_factor``.
+    ``find_k_factor``. Every count is an array pass over ``b.ends``.
     """
     n = len(b.left)
     d = b.density
@@ -273,54 +305,57 @@ def density_increment_step(b: BipartiteGraph, cfg: PipelineConfig) -> IncrementS
         raise ValueError("density is zero")
     delta = cfg.delta
     k = cfg.k_for(d, n)
-    deg = b.degrees
-    short_l = tuple(u for u in b.left if deg[u] < k)
-    short_r = tuple(v for v in b.right if deg[v] < k)
-    if short_l or short_r:
-        if len(short_l) >= len(short_r):
-            xs, ys, short = short_l, b.right, short_l
+    lp, rp = b.ends
+    ldeg, rdeg = b.degree_arrays
+    short_l, short_r = ldeg < k, rdeg < k
+    n_short_l, n_short_r = int(np.count_nonzero(short_l)), int(np.count_nonzero(short_r))
+    if n_short_l or n_short_r:
+        if n_short_l >= n_short_r:
+            in_x, in_y, short = short_l, np.ones(n, bool), ldeg[short_l]
         else:
-            xs, ys, short = b.left, short_r, short_r
-        slack = sum(deg[x] - k for x in short)
+            in_x, in_y, short = np.ones(n, bool), short_r, rdeg[short_r]
+        slack = int((short - k).sum())
         if slack >= 0:
             raise DichotomyBug(f"degree scan produced a non-violating pair (slack {slack})")
+        xs = tuple(compress(b.left, in_x.tobytes()))
+        ys = tuple(compress(b.right, in_y.tobytes()))
     else:
         w = find_k_factor(b, k)
         if w.is_factor:
             return IncrementStep(kind="factor", k=k, factor=w.factor)
         xs, ys = w.violation
+        xset, yset = set(xs), set(ys)
+        in_x = np.fromiter((u in xset for u in b.left), bool, n)
+        in_y = np.fromiter((v in yset for v in b.right), bool, n)
 
     # A is the smaller side of the violation, B the other; D is the rest of
     # A's class and C the rest of B's class F. Only the edges at A are
-    # scanned: their ends in C sum to e(A, C), the degrees over D sum to
+    # counted: their ends in C sum to e(A, C), the degrees over D sum to
     # e(D, F), and a vertex of F has deg - |N(v) & A| neighbours in D.
+    # Positions index A's class through ``ap`` and F through ``fp``.
     a_left = len(xs) <= len(ys)
-    a, bb = (xs, ys) if a_left else (ys, xs)
-    a_class, f_class = (b.left, b.right) if a_left else (b.right, b.left)
-    bset, aset = set(bb), set(a)
-    c = [v for v in f_class if v not in bset]
-    dd = [u for u in a_class if u not in aset]
-    at_a = (
-        [e for e in b.edges if e[0] in aset]
-        if a_left
-        else [(v, u) for u, v in b.edges if v in aset]
-    )
+    if a_left:
+        in_a, in_b, ap, fp, adeg, fdeg = in_x, in_y, lp, rp, ldeg, rdeg
+        a_class, f_class = b.left, b.right
+    else:
+        in_a, in_b, ap, fp, adeg, fdeg = in_y, in_x, rp, lp, rdeg, ldeg
+        a_class, f_class = b.right, b.left
+    a = in_a.nonzero()[0]
+    c = (~in_b).nonzero()[0]
+    dd = (~in_a).nonzero()[0]
+    at_a = in_a[ap]
 
-    candidates = []  # (potential, escape, kept labels of both classes)
-    if c:
-        cset = set(c)
-        into_c = Counter(u for u, v in at_a if v in cset)
-        scores = {u: into_c[u] for u in a}
-        if sum(scores.values()) >= d * len(a) * len(c) ** (1 - delta) * n**delta:
-            potential, kept = _top_by_degree(scores, len(c), delta)
-            candidates.append((potential, "dense-pair", kept + c))
-    if dd and (
-        sum(deg[u] for u in dd) >= d * len(dd) ** (1 - delta) * n ** (1 + delta)
-    ):
-        from_a = Counter(v for _, v in at_a)
-        scores = {v: deg[v] - from_a[v] for v in f_class}
-        potential, kept = _top_by_degree(scores, len(dd), delta)
-        candidates.append((potential, "complement-side", dd + kept))
+    candidates = []  # (potential, escape, kept positions of A's class and of F)
+    if c.size:
+        into_c = at_a & ~in_b[fp]
+        if int(np.count_nonzero(into_c)) >= d * a.size * c.size ** (1 - delta) * n**delta:
+            scores = np.bincount(ap[into_c], minlength=n)[a]
+            potential, top = _top_by_degree(scores, np.asarray(a_class)[a], c.size, delta)
+            candidates.append((potential, "dense-pair", a[top], c))
+    if dd.size and int(adeg[dd].sum()) >= d * dd.size ** (1 - delta) * n ** (1 + delta):
+        scores = fdeg - np.bincount(fp[at_a], minlength=n)
+        potential, top = _top_by_degree(scores, np.asarray(f_class), dd.size, delta)
+        candidates.append((potential, "complement-side", dd, top))
     if not candidates:
         if k > d * n / 100.0:
             raise DensityIncrementStuck(
@@ -330,12 +365,13 @@ def density_increment_step(b: BipartiteGraph, cfg: PipelineConfig) -> IncrementS
             f"violation admitted no escape at k={k} <= d*n/100 = {d * n / 100:.3f}"
         )
     # the larger potential wins, dense-pair on ties (max keeps the first)
-    _, escape, kept = max(candidates, key=lambda t: t[0])
-    keep = set(kept)  # labels differ across classes, so one set names both sides
+    _, escape, a_kept, f_kept = max(candidates, key=lambda t: t[0])
+    a_kept = [a_class[i] for i in a_kept.tolist()]
+    f_kept = [f_class[i] for i in f_kept.tolist()]
     return IncrementStep(
         kind="restriction",
         k=k,
-        restriction=b.restrict(keep, keep),
+        restriction=b.restrict(a_kept, f_kept) if a_left else b.restrict(f_kept, a_kept),
         escape=escape,
         violation=(xs, ys),
     )
@@ -398,18 +434,19 @@ def matching_decomposition(h: BipartiteGraph) -> list[list[tuple[int, int]]]:
     """
     if len(h.left) != len(h.right):
         raise ValueError("parts must have equal size")
-    degrees = h.degrees
-    k = degrees[h.left[0]] if h.left else 0
-    bad = next((x for x in h.left + h.right if degrees[x] != k), None)
-    if bad is not None:
-        raise ValueError(f"not regular: vertex {bad} has degree {degrees[bad]} != {k}")
+    degrees = np.concatenate(h.degree_arrays)
+    k = int(degrees[0]) if h.left else 0
+    bad = (degrees != k).nonzero()[0]
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"not regular: vertex {(h.left + h.right)[i]} has degree {int(degrees[i])} != {k}"
+        )
     cur, matchings = h, []
     for _ in range(k - 1):
-        matchings.append(list(find_k_factor(cur, 1).factor.edges))
-        used = set(matchings[-1])
-        cur = BipartiteGraph._trusted(
-            h.left, h.right, tuple(e for e in cur.edges if e not in used)
-        )
+        matching = find_k_factor(cur, 1).factor
+        matchings.append(list(matching.edges))
+        cur = cur.without(matching)
     if cur.edges:
         matchings.append(list(cur.edges))
     return matchings
@@ -546,11 +583,6 @@ class DecompositionReport:
         return bool(np.array_equal(got, _edge_array(g.edges, m)))
 
 
-def _edge_array(edges, m: int) -> np.ndarray:
-    """``m`` edges (u, v) as the rows of an m x 2 array, in their order."""
-    return np.fromiter(chain.from_iterable(edges), np.int64, 2 * m).reshape(m, 2)
-
-
 def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> DecompositionReport:
     """Partition E(g) into interval-colourable parts via the layer pipeline.
 
@@ -579,10 +611,7 @@ def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> Decompositio
                 break
             colouring = _regular_colouring(g.vertex_count, factor)
             parts.append(FactorPart(layer.bit, k, colouring, trace))
-            used = set(factor.edges)
-            cur = BipartiteGraph._trusted(
-                cur.left, cur.right, tuple(e for e in cur.edges if e not in used)
-            )
+            cur = cur.without(factor)
 
     rest = g
     if parts:

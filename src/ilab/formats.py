@@ -59,8 +59,12 @@ class FormatError(ValueError):
 
 
 def serialize_json(doc) -> str:
-    """The one JSON layout ilab writes: sorted keys, compact, newline-terminated."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """The one JSON layout ilab writes: sorted keys, compact, newline-terminated.
+
+    Every document is built from fresh literals, so none contains itself,
+    and the encoder skips its circular-reference bookkeeping.
+    """
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,15 @@ Conventions used throughout the package:
   ``(u, v)`` with ``u < v`` and graphs are simple (no loops, no multi-edges);
 * a ``BipartiteGraph`` keeps explicit vertex *labels* for both sides (labels
   are arbitrary ints, typically ids of some ambient ``Graph``) and stores each
-  edge as ``(left_label, right_label)``; ``BipartiteGraph.degrees`` is the
-  one bipartite degree table, and ``relabelled`` the one renumbering of a
-  piece of a graph onto 0..k-1.
+  edge as ``(left_label, right_label)``. ``BipartiteGraph.ends`` is its one
+  integer-array view, the positions of each edge's ends in ``left`` and
+  ``right``, and every count reads it: ``degree_arrays`` is the one
+  bipartite degree table and ``degrees`` its label-keyed view. The
+  sub-pairs that ``restrict`` and ``without`` make are handed their slice
+  of the view, so it is derived from labels once for a pair and all the
+  pairs cut from it (``decompose.BitLayer.graph`` derives a layer's from
+  its ids). ``relabelled`` is the one renumbering of a piece of a graph
+  onto 0..k-1.
 """
 
 from __future__ import annotations
@@ -17,8 +23,10 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Sequence
+
+import numpy as np
 
 Edge = tuple[int, int]
 
@@ -213,18 +221,23 @@ class BipartiteGraph:
 
     @classmethod
     def _trusted(
-        cls, left: tuple[int, ...], right: tuple[int, ...], edges: tuple[Edge, ...]
+        cls,
+        left: tuple[int, ...],
+        right: tuple[int, ...],
+        edges: tuple[Edge, ...],
+        ends: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> "BipartiteGraph":
         """Build without validating or sorting.
 
         The caller guarantees what ``__post_init__`` would check and produce:
         ``left`` and ``right`` are tuples of distinct labels, no label on both
         sides, and ``edges`` is a sorted tuple of distinct left->right pairs.
+        ``ends``, if given, must be what the ``ends`` property would derive.
         """
         obj = object.__new__(cls)
-        object.__setattr__(obj, "left", left)
-        object.__setattr__(obj, "right", right)
-        object.__setattr__(obj, "edges", edges)
+        obj.__dict__.update(left=left, right=right, edges=edges)
+        if ends is not None:
+            obj.__dict__["ends"] = ends
         return obj
 
     @property
@@ -238,10 +251,34 @@ class BipartiteGraph:
         return len(self.edges) / (len(self.left) * len(self.right))
 
     @cached_property
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lp, rp)``: edge i runs from ``left[lp[i]]`` to ``right[rp[i]]``.
+
+        Derived from the labels only for a pair built without it; the
+        sub-pairs of ``restrict`` and ``without`` are handed theirs.
+        """
+        lpos = dict(zip(self.left, range(len(self.left))))
+        rpos = dict(zip(self.right, range(len(self.right))))
+        return (
+            np.array([lpos[u] for u, _ in self.edges], np.intp),
+            np.array([rpos[v] for _, v in self.edges], np.intp),
+        )
+
+    @cached_property
+    def degree_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Degrees of the left and of the right labels, by position."""
+        lp, rp = self.ends
+        return (
+            np.bincount(lp, minlength=len(self.left)),
+            np.bincount(rp, minlength=len(self.right)),
+        )
+
+    @cached_property
     def degrees(self) -> Counter[int]:
-        """Every label's degree, counted once from the edges; a label that no
-        edge touches reads 0."""
-        return Counter(chain.from_iterable(self.edges))
+        """Every label's degree, keyed by label; a label that no edge
+        touches reads 0."""
+        counts = chain.from_iterable(a.tolist() for a in self.degree_arrays)
+        return Counter({x: d for x, d in zip(self.left + self.right, counts) if d})
 
     def degree(self, label: int) -> int:
         return self.degrees[label]
@@ -249,10 +286,32 @@ class BipartiteGraph:
     def restrict(self, left: Iterable[int], right: Iterable[int]) -> "BipartiteGraph":
         """Sub-pair induced on the given label subsets (order preserved from self)."""
         lset, rset = set(left), set(right)
-        keep_l = tuple(u for u in self.left if u in lset)
-        keep_r = tuple(v for v in self.right if v in rset)
-        keep_e = tuple(e for e in self.edges if e[0] in lset and e[1] in rset)
-        return BipartiteGraph._trusted(keep_l, keep_r, keep_e)
+        lkeep = np.fromiter((u in lset for u in self.left), bool, len(self.left))
+        rkeep = np.fromiter((v in rset for v in self.right), bool, len(self.right))
+        lp, rp = self.ends
+        keep = lkeep[lp] & rkeep[rp]
+        # a kept label's new position counts the kept labels before it
+        lnew, rnew = lkeep.cumsum() - 1, rkeep.cumsum() - 1
+        return BipartiteGraph._trusted(
+            tuple(compress(self.left, lkeep.tobytes())),
+            tuple(compress(self.right, rkeep.tobytes())),
+            tuple(compress(self.edges, keep.tobytes())),
+            (lnew[lp[keep]], rnew[rp[keep]]),
+        )
+
+    def without(self, sub: "BipartiteGraph") -> "BipartiteGraph":
+        """This pair, on the same sides, less the edges of ``sub``, a pair
+        whose labels and edges are all this pair's."""
+        lpos = dict(zip(self.left, range(len(self.left))))
+        rpos = dict(zip(self.right, range(len(self.right))))
+        slp, srp = sub.ends
+        sl = np.fromiter((lpos[u] for u in sub.left), np.intp, len(sub.left))[slp]
+        sr = np.fromiter((rpos[v] for v in sub.right), np.intp, len(sub.right))[srp]
+        lp, rp = self.ends
+        width = len(self.right)  # an edge's key is lp * width + rp, one per pair
+        keep = ~np.isin(lp * width + rp, sl * width + sr)
+        edges = tuple(compress(self.edges, keep.tobytes()))
+        return BipartiteGraph._trusted(self.left, self.right, edges, (lp[keep], rp[keep]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -474,6 +475,45 @@ class TestBitSplit:
         BipartiteGraph._trusted((0,), (1,), ())
         BipartiteGraph((0,), (1,), ())
         assert calls == {"_trusted": 1, "__post_init__": 1}
+
+    def test_dense_layers_derive_their_edge_arrays_once(self, monkeypatch):
+        # BitLayer.graph makes a dense layer's array view from the padded
+        # ids; each restriction, factor and remainder of the increment is
+        # handed its part of that view, so none derives one from its labels
+        calls = Counter()
+
+        def counting(owner, attr, name):
+            fn = vars(owner)[attr].func
+
+            def derive(self):
+                calls[name] += 1
+                return fn(self)
+
+            prop = cached_property(derive)
+            prop.__set_name__(owner, attr)
+            monkeypatch.setattr(owner, attr, prop)
+
+        counting(dec.BitLayer, "graph", "layer view")
+        counting(BipartiteGraph, "ends", "label view")
+        step = dec.density_increment_step
+
+        def counting_step(*args):
+            calls["step"] += 1
+            return step(*args)
+
+        monkeypatch.setattr(dec, "density_increment_step", counting_step)
+        g = Graph(60, random_graph(60, 0.9, seed=4))
+        report = decompose_theta(g)
+        gamma = PipelineConfig().gamma
+        dense = [layer for layer in report.layers
+                 if len(layer.edges) / layer.half**2 >= (2 * layer.half) ** -gamma]
+        factors = sum(isinstance(part, FactorPart) for part in report.parts)
+        assert len(dense) >= 2 and factors > len(dense)
+        assert calls["step"] > factors
+        assert (calls["layer view"], calls["label view"]) == (len(dense), 0)
+        # the counters are live: a pair built without the view derives it
+        assert BipartiteGraph((0,), (1,), ((0, 1),)).ends[0].tolist() == [0]
+        assert calls["label view"] == 1
 
 
 class TestRegularDecomposition:
