@@ -227,7 +227,7 @@ def find_k_factor(b: BipartiteGraph, k: int) -> KFactorWitness:
     if k < 0 or k > n:
         raise ValueError(f"k={k} out of range for part size {n}")
     if k == 0:
-        return KFactorWitness(BipartiteGraph._trusted(b.left, b.right, ()), None)
+        return KFactorWitness(_factor(b, np.empty(0, np.intp)), None)
     lp, rp = b.ends
     if k == 1:
         adjacency = _rows(lp, rp, n)

@@ -49,6 +49,8 @@ from collections import Counter
 from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .colouring import EdgeColouring
 from .graphs import MAX_VERTICES, BipartiteGraph, Edge, Graph, canonical_edge
 from .randlab import LayeredBipartite, LowerBoundParams
@@ -301,11 +303,13 @@ def parse_layered_json(text: str) -> LayeredBipartite:
             raise FormatError(f"duplicate edge ({b}, {a})")
         by_layer[i - 1][b, a] = None
     ground = tuple(range(n))
-    graphs = tuple(
-        BipartiteGraph._trusted(ground, layer, tuple(sorted(edges)))
-        for layer, edges in zip(a_layers, by_layer)
-    )
-    return LayeredBipartite(params, a_layers, graphs)
+    graphs = []
+    for layer, start, rows in zip(a_layers, bounds, by_layer):
+        edges = tuple(sorted(rows))
+        # b is its own position in B, and a's position in A_i is a - start
+        b, a = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2).T
+        graphs.append(BipartiteGraph._trusted(ground, layer, edges, (b.copy(), a - start)))
+    return LayeredBipartite(params, a_layers, tuple(graphs))
 
 
 def parse_partition_json(text: str, graph_edges: Iterable[Edge]) -> dict[Edge, int]:

@@ -9,11 +9,12 @@ Conventions used throughout the package:
   edge as ``(left_label, right_label)``. ``BipartiteGraph.ends`` is its one
   integer-array view, the positions of each edge's ends in ``left`` and
   ``right``, and every count reads it: ``degree_arrays`` is the one
-  bipartite degree table and ``degrees`` its label-keyed view. The
-  sub-pairs that ``restrict`` and ``without`` make are handed their slice
-  of the view, so it is derived from labels once for a pair and all the
-  pairs cut from it (``decompose.BitLayer.graph`` derives a layer's from
-  its ids). ``relabelled`` is the one renumbering of a piece of a graph
+  bipartite degree table and ``degrees`` its label-keyed view. Every pair
+  ilab builds is handed its view where it is built: ``restrict`` and
+  ``without`` slice theirs, ``decompose.BitLayer.graph`` computes a layer's
+  from its ids, ``randlab.generate`` and ``formats.parse_layered_json``
+  from the draw and the edge rows. Only ``BipartiteGraph(...)`` derives one
+  from labels. ``relabelled`` is the one renumbering of a piece of a graph
   onto 0..k-1.
 """
 
@@ -254,8 +255,8 @@ class BipartiteGraph:
     def ends(self) -> tuple[np.ndarray, np.ndarray]:
         """``(lp, rp)``: edge i runs from ``left[lp[i]]`` to ``right[rp[i]]``.
 
-        Derived from the labels only for a pair built without it; the
-        sub-pairs of ``restrict`` and ``without`` are handed theirs.
+        Derived from the labels only for a pair built without it, that is
+        by ``BipartiteGraph(...)``; every pair ilab builds is handed its own.
         """
         lpos = dict(zip(self.left, range(len(self.left))))
         rpos = dict(zip(self.right, range(len(self.right))))

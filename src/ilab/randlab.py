@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from typing import Mapping
 
 import numpy as np
@@ -134,10 +134,11 @@ def generate(params: LowerBoundParams) -> LayeredBipartite:
         next_id += size
         rng = np.random.default_rng([params.seed, i])
         hit = rng.random((size, params.n)) < params.p(i)
-        a_idx, b_idx = np.nonzero(hit)
-        edges = tuple(sorted((int(b), layer[int(a)]) for a, b in zip(a_idx, b_idx)))
+        # the transpose lists the hits by (b, a), the order of the edges
+        b_idx, a_idx = np.nonzero(hit.T)
+        edges = tuple(zip(b_idx.tolist(), (a_idx + layer[0]).tolist()))
         a_layers.append(layer)
-        graphs.append(BipartiteGraph._trusted(ground, layer, edges))
+        graphs.append(BipartiteGraph._trusted(ground, layer, edges, (b_idx, a_idx)))
     return LayeredBipartite(params, tuple(a_layers), tuple(graphs))
 
 
@@ -161,19 +162,11 @@ def check_biregular(b: BipartiteGraph, p: float) -> tuple[bool, int | None]:
 
     Returns the first offending vertex (left side scanned first) on failure.
     """
-    lo_l, hi_l = 0.9 * p * len(b.right), 1.1 * p * len(b.right)
-    lo_r, hi_r = 0.9 * p * len(b.left), 1.1 * p * len(b.left)
-    deg = b.degrees
-    for u in b.left:
-        if not lo_l <= deg[u] <= hi_l:
-            return False, u
-    for v in b.right:
-        if not lo_r <= deg[v] <= hi_r:
-            return False, v
+    for deg, side, other in zip(b.degree_arrays, (b.left, b.right), (b.right, b.left)):
+        inside = (0.9 * p * len(other) <= deg) & (deg <= 1.1 * p * len(other))
+        if not inside.all():
+            return False, side[int(np.argmin(inside))]
     return True, None
-
-
-_U_BLOCK = 256  # U masks per block of the exhaustive pseudorandomness check
 
 
 @dataclass(frozen=True)
@@ -196,38 +189,48 @@ def check_pseudorandom(
     both sides have at most 12 vertices; otherwise `trials` uniformly random
     pairs (sizes uniform over the allowed range) drawn from a generator
     seeded with `seed`.
+
+    The exhaustive branch runs over every U but over no V, by the prefix
+    lemma. Fix U and t = |V|, let d_U(v) count the edges from U to v, so
+    that e(U, V) is the sum of d_U over V, and let x_1 <= ... <= x_|D| be
+    the values of d_U sorted. List the values on V as y_1 <= ... <= y_t.
+    Then x_j <= y_j, since y_1..y_j are j of the x's, and y_j <=
+    x_(|D|-t+j), since y_j..y_t are t-j+1 of them; summing over j,
+    lo_t = x_1 + ... + x_t <= e(U, V) <= x_(|D|-t+1) + ... + x_|D| = hi_t,
+    and the t vertices of lowest (highest) d_U attain lo_t (hi_t). With
+    c = p |U| t, |e - c| is convex in e, so over the V of size t it is
+    largest at lo_t or at hi_t, and the denominator depends on t alone.
+    Rounding is monotone and keeps the sign of e - c, and the counts are
+    small integers, exact in floats, so the float ratio peaks at an end
+    too: the maximum is bit for bit the one that every (U, V) pair gives.
+    One sort of each U's row of d_U and two cumulative sums give the ends.
     """
+    if not 0 <= alpha <= 1:  # also rejects NaN
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     nc, nd = len(b.left), len(b.right)
     if nc == 0 or nd == 0:
         return PseudoReport(True, 0.0, True)
     min_u = max(1, math.ceil(alpha * nc))
     min_v = max(1, math.ceil(alpha * nd))
-    lpos = {u: i for i, u in enumerate(b.left)}
-    rpos = {v: i for i, v in enumerate(b.right)}
+    lp, rp = b.ends
 
     if nc <= 12 and nd <= 12:
-        m = np.zeros((nc, nd), dtype=np.float64)
-        for u, v in b.edges:
-            m[lpos[u], rpos[v]] = 1.0
-        u_masks = [x for x in range(1, 1 << nc) if x.bit_count() >= min_u]
-        v_masks = [y for y in range(1, 1 << nd) if y.bit_count() >= min_v]
-        mu = np.array([[(x >> i) & 1 for i in range(nc)] for x in u_masks], float)
-        mv = np.array([[(y >> j) & 1 for j in range(nd)] for y in v_masks], float)
-        hits = m @ mv.T  # each C vertex's edges into each V
-        v_sizes = mv.sum(axis=1)
-        worst = 0.0
-        # blocks of U masks bound each array at _U_BLOCK x |V masks|; counts
-        # are small integers, exact in floats, so the maximum is unchanged
-        for s in range(0, len(mu), _U_BLOCK):
-            block = mu[s : s + _U_BLOCK]
-            sizes = np.outer(block.sum(axis=1), v_sizes)
-            ratios = np.abs(block @ hits - p * sizes) / sizes**0.85
-            worst = max(worst, float(ratios.max()))
+        m = np.zeros((nc, nd))
+        m[lp, rp] = 1.0
+        # one row per U of at least min_u vertices: bit i of x puts C's i-th in U
+        mu = (np.arange(1, 1 << nc)[:, None] >> np.arange(nc)) & 1
+        mu = mu[mu.sum(axis=1) >= min_u]
+        d_u = np.sort(mu @ m, axis=1)
+        lo = d_u.cumsum(axis=1)[:, min_v - 1 :]
+        hi = d_u[:, ::-1].cumsum(axis=1)[:, min_v - 1 :]
+        sizes = np.outer(mu.sum(axis=1), np.arange(min_v, nd + 1.0))
+        dev = np.maximum(np.abs(lo - p * sizes), np.abs(hi - p * sizes))
+        worst = float((dev / sizes**0.85).max())
         return PseudoReport(worst <= 1.0, worst, True)
 
     # e(U, V) counts the edges with both endpoints chosen: O(m) per trial
-    eu = np.array([lpos[u] for u, _ in b.edges], dtype=np.intp)
-    ev = np.array([rpos[v] for _, v in b.edges], dtype=np.intp)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -237,7 +240,7 @@ def check_pseudorandom(
         in_v = np.zeros(nd, dtype=bool)
         in_u[rng.choice(nc, size=su, replace=False)] = True
         in_v[rng.choice(nd, size=sv, replace=False)] = True
-        count = int(np.count_nonzero(in_u[eu] & in_v[ev]))
+        count = int(np.count_nonzero(in_u[lp] & in_v[rp]))
         worst = max(worst, abs(count - p * su * sv) / (su * sv) ** 0.85)
     return PseudoReport(worst <= 1.0, worst, False)
 
@@ -523,17 +526,11 @@ def adversarial_probe(
             return trace
         # -- deletion of the used parts' edges, one part lookup per edge
         used_parts = {f for f, *_ in used}
-        fresh_edges: list[Edge] = []
-        deleted: Counter[int] = Counter()  # A_k vertex -> its deleted edges
-        for b, a in restricted.edges:
-            if part_of[(b, a)] in used_parts:
-                deleted[a] += 1
-            else:
-                fresh_edges.append((b, a))
-        proportion = max(
-            (d / restricted.degrees[a] for a, d in deleted.items()),
-            default=0.0,
-        )
+        edges = restricted.edges
+        gone = np.fromiter((part_of[e] in used_parts for e in edges), bool, len(edges))
+        lp, rp = restricted.ends
+        deleted = np.bincount(rp[gone], minlength=len(restricted.right))  # per A_k vertex
+        proportion = float((deleted / np.maximum(restricted.degree_arrays[1], 1)).max(initial=0))
 
         p_k = params.p(k)
         ok_b, _ = check_biregular(restricted, p_k)
@@ -546,14 +543,11 @@ def adversarial_probe(
         )
         hyp = StageHypotheses(ok_b, pseudo.ok)
 
-        forced = not fresh_edges
-        search_graph = (
-            restricted
-            if forced
-            # a sorted subsequence of the restricted layer's edges
-            else BipartiteGraph._trusted(
-                restricted.left, restricted.right, tuple(fresh_edges)
-            )
+        forced = bool(gone.all())
+        fresh = ~gone  # a sorted subsequence of the restricted layer's edges
+        search_graph = restricted if forced else BipartiteGraph._trusted(
+            restricted.left, restricted.right,
+            tuple(compress(edges, fresh.tobytes())), (lp[fresh], rp[fresh]),
         )
         report = find_dense_monochromatic(search_graph, part_of)
         new_ground = set(report.far)

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+from functools import cached_property
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -27,9 +28,9 @@ from ilab.formats import (
     serialize_graph_text,
     serialize_layered_json,
 )
-from ilab.graphs import Graph
+from ilab.graphs import BipartiteGraph, Graph
 from ilab.planar import SPARSITY_CORE_EDGE_LIMIT, FamilySpec, extremal_family
-from ilab.randlab import LowerBoundParams, generate
+from ilab.randlab import LowerBoundParams, adversarial_probe, generate
 
 TRIANGLE = "3 3\n0 1\n0 2\n1 2\n"
 K4 = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -537,6 +538,41 @@ def test_probe_bytes_are_frozen(capsys, tmp_path, n, seed, strategy, scale, outc
     assert code in (0, 1) and err == ""
     assert probe_outcomes(json.loads(report.read_text()), out) == outcomes
     assert hashlib.sha256(report.read_bytes() + out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("route", ["cli", "library"])
+def test_probes_derive_no_view_from_labels(capsys, tmp_path, monkeypatch, route):
+    # generate and the layered reader hand each layer its BipartiteGraph.ends
+    # view, and the probe's restrictions and fresh-edge pairs take a slice of
+    # it, so no pair of a probe run derives one from its labels
+    derived = []
+    derive = vars(BipartiteGraph)["ends"].func
+
+    def counting(self):
+        derived.append(self)
+        return derive(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(BipartiteGraph, "ends")
+    monkeypatch.setattr(BipartiteGraph, "ends", prop)
+    if route == "cli":
+        layered = tmp_path / "lb.json"
+        assert run(capsys, "gen-lower", "--r", "3", "--delta", "0.2", "--epsilon", "0.005",
+                   "--n", "300", "--seed", "1", "-o", layered)[0] == 0
+        parts = tmp_path / "parts.json"
+        parts.write_text(probe_partition(parse_layered_json(layered.read_text()),
+                                         "random-4-parts", 1))
+        report = tmp_path / "probe.json"
+        assert run(capsys, "probe", layered, parts, "--report", report)[0] in (0, 1)
+        stages = json.loads(report.read_text())["stages"]
+    else:
+        lb = generate(LowerBoundParams(r=3, n=300, delta=0.2, epsilon=0.005, seed=1))
+        layer_of = {e: i for i, g in enumerate(lb.layer_graphs) for e in g.edges}
+        stages = adversarial_probe(lb, layer_of).stages
+    assert len(stages) == 3 and derived == []
+    # the counter is live: a pair built without the view derives it
+    assert BipartiteGraph((0,), (1,), ((0, 1),)).ends[0].tolist() == [0]
+    assert len(derived) == 1
 
 
 def test_frozen_probes_cover_every_outcome():

@@ -7,6 +7,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -66,6 +67,41 @@ def empty_layer_instance():
         (layer1, layer2),
     )
     return lb, {e: 0 for e in layer1.edges}
+
+
+def old_exhaustive_ratio(b, alpha, p):
+    """The exhaustive branch as it read before the prefix lemma: one
+    indicator row per qualifying V mask, counted in blocks of 256 U masks."""
+    nc, nd = len(b.left), len(b.right)
+    min_u = max(1, math.ceil(alpha * nc))
+    min_v = max(1, math.ceil(alpha * nd))
+    lpos = {u: i for i, u in enumerate(b.left)}
+    rpos = {v: i for i, v in enumerate(b.right)}
+    m = np.zeros((nc, nd), dtype=np.float64)
+    for u, v in b.edges:
+        m[lpos[u], rpos[v]] = 1.0
+    u_masks = [x for x in range(1, 1 << nc) if x.bit_count() >= min_u]
+    v_masks = [y for y in range(1, 1 << nd) if y.bit_count() >= min_v]
+    mu = np.array([[(x >> i) & 1 for i in range(nc)] for x in u_masks], float)
+    mv = np.array([[(y >> j) & 1 for j in range(nd)] for y in v_masks], float)
+    hits = m @ mv.T
+    v_sizes = mv.sum(axis=1)
+    worst = 0.0
+    for s in range(0, len(mu), 256):
+        block = mu[s : s + 256]
+        sizes = np.outer(block.sum(axis=1), v_sizes)
+        ratios = np.abs(block @ hits - p * sizes) / sizes**0.85
+        worst = max(worst, float(ratios.max()))
+    return worst
+
+
+def shuffled_pair(rng, nc, nd, fill):
+    """A random nc x nd pair whose labels are neither ascending nor split
+    into a low and a high side."""
+    labels = rng.sample(range(3 * (nc + nd)), nc + nd)
+    left, right = tuple(labels[:nc]), tuple(labels[nc:])
+    edges = tuple((u, v) for u in left for v in right if rng.random() < fill)
+    return BipartiteGraph(left, right, edges)
 
 
 class TestParams:
@@ -200,6 +236,27 @@ class TestGenerate:
             (lg.left, lg.right, tuple(sorted(lg.edges))) for lg in lb.layer_graphs
         ]
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r=st.integers(1, 3),
+        n=st.integers(1, 60),
+        delta=st.sampled_from([0.2, 0.3, 0.5]),
+        fill=st.floats(0.05, 0.9),
+        seed=st.integers(0, 2**32),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_layers_are_handed_the_view_their_labels_give(self, r, n, delta, fill, seed, order):
+        lb = generate(LowerBoundParams(r, n, delta, fill * delta**r, seed))
+        doc = json.loads(serialize_layered_json(lb))
+        order.shuffle(doc["edges"])
+        derive = vars(BipartiteGraph)["ends"].func
+        for layers in (lb.layer_graphs, parse_layered_json(json.dumps(doc)).layer_graphs):
+            for lg in layers:
+                lp, rp = lg.__dict__["ends"]  # handed over, not derived
+                want_lp, want_rp = derive(lg)
+                assert lp.dtype == rp.dtype == np.intp
+                assert (lp.tolist(), rp.tolist()) == (want_lp.tolist(), want_rp.tolist())
+
     def test_parse_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
             parse_layered_json('{"kind": "something-else"}')
@@ -215,6 +272,29 @@ class TestHypothesisChecks:
         b = BipartiteGraph((0, 1), (2, 3), ((0, 2), (0, 3)))
         ok, offender = check_biregular(b, 1.0)
         assert not ok and offender == 1
+
+    def test_biregular_reports_a_right_side_offender(self):
+        # both left degrees are 2 = 0.5 * 4; on the right, 6 (degree 2) comes
+        # before 2 (degree 0)
+        b = BipartiteGraph((3, 0), (9, 6, 7, 2), ((3, 9), (3, 6), (0, 6), (0, 7)))
+        assert check_biregular(b, 0.5) == (False, 6)
+
+    def test_biregular_scans_sides_in_label_order_not_by_value(self):
+        # non-ascending, interleaved labels: 8 is the first offender, not 1
+        left, right = (8, 1, 5), (0, 9, 3, 6)
+        edges = ((8, 0), (8, 9), (8, 3), (1, 9), (5, 9), (5, 3))
+        assert check_biregular(BipartiteGraph(left, right, edges), 0.5) == (False, 8)
+        full = BipartiteGraph(left, right, tuple((u, v) for u in left for v in right))
+        assert check_biregular(full, 1.0) == (True, None)
+        assert check_biregular(full.restrict((5, 8), (6, 0, 9)), 1.0) == (True, None)
+
+    def test_biregular_keeps_the_float_order_of_its_bounds(self):
+        # 0.9 * 0.4 * 25 is 9.000000000000002, so degree 9 falls below it,
+        # while 0.9 * (0.4 * 25) is 9.0 exactly
+        assert 0.9 * 0.4 * 25 > 9 and 0.9 * (0.4 * 25) == 9
+        right = tuple(range(100, 125))
+        edges = tuple((30, v) for v in right[:10]) + tuple((0, v) for v in right[10:19])
+        assert check_biregular(BipartiteGraph((30, 0), right, edges), 0.4) == (False, 0)
 
     def test_pseudorandom_exhaustive_on_complete_block(self):
         left = tuple(range(6))
@@ -258,6 +338,52 @@ class TestHypothesisChecks:
         finally:
             tracemalloc.stop()
         assert rep.exhaustive and peak < 64 * 2**20
+
+    def test_pseudorandom_exhaustive_equals_the_mask_enumeration(self):
+        # the prefix lemma gives bit for bit the maximum over every V mask
+        rng = random.Random(8)
+        cases = [(12, 12, alpha, p) for alpha in (0.0, 0.5) for p in (0.05, 0.5, 1.0)]
+        cases += [(rng.randint(1, 12), rng.randint(1, 12), alpha, p)
+                  for alpha in (0.0, 0.05, 0.2, 0.5) for p in (0.05, 0.5, 1.0)
+                  for _ in range(4)]
+        for nc, nd, alpha, p in cases:
+            b = shuffled_pair(rng, nc, nd, rng.choice((0.1, 0.5, 0.9)))
+            rep = check_pseudorandom(b, alpha, p)
+            worst = old_exhaustive_ratio(b, alpha, p)
+            assert rep.exhaustive
+            assert (rep.worst_ratio.hex(), rep.ok) == (worst.hex(), worst <= 1.0)
+
+    def test_pseudorandom_exhaustive_needs_no_v_masks(self):
+        # the mask enumeration peaks at 33.5 MiB on this pair; the lemma's
+        # arrays hold one row of |D| values per U
+        rng = random.Random(3)
+        left, right = tuple(range(12)), tuple(range(12, 24))
+        edges = tuple((u, v) for u in left for v in right if rng.random() < 0.5)
+        b = BipartiteGraph(left, right, edges)
+        tracemalloc.start()
+        try:
+            rep = check_pseudorandom(b, alpha=0.0, p=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.exhaustive and peak < 8 * 2**20
+
+    @pytest.mark.parametrize("small,kwargs,name", [
+        (True, {"alpha": 1.5}, "alpha"),
+        (False, {"alpha": 1.5}, "alpha"),
+        (True, {"alpha": -0.1}, "alpha"),
+        (False, {"alpha": math.nan}, "alpha"),
+        (False, {"alpha": 0.05, "trials": -1}, "trials"),
+        (True, {"alpha": 0.05, "trials": 0}, "trials"),
+    ], ids=["alpha-1.5-exhaustive", "alpha-1.5-sampled", "alpha-negative", "alpha-nan",
+            "trials-negative", "trials-zero"])
+    def test_pseudorandom_rejects_bad_arguments(self, small, kwargs, name):
+        if small:
+            b = BipartiteGraph((0, 1, 2), (3, 4), ((0, 3), (1, 4), (2, 3)))
+        else:  # 50 ground vertices against 10
+            b = generate(LowerBoundParams(r=2, n=50, delta=0.2, epsilon=0.005)).layer_graphs[0]
+        with pytest.raises(ValueError, match=f"^{name} "):
+            check_pseudorandom(b, p=0.5, **kwargs)
 
     def test_pseudorandom_sampled_is_deterministic(self):
         p = LowerBoundParams(r=2, n=300, delta=0.1, epsilon=1e-4, seed=4)
