@@ -483,25 +483,48 @@ def forest_partition(g: Graph) -> list[Graph]:
     ends lie in different trees. Each forest's edges are a sorted
     subsequence of ``g.edges``, so it is returned without re-validation.
 
-    That forest is found by bisection, not by a scan, because of this lemma:
-    every component of forest j+1 lies inside a component of forest j.
-    Proof, by induction over the edges in the order first-fit places them.
-    An edge joins forest j+1 only if its ends are already connected in
-    forest j (else first-fit would have put it in forest j or earlier), so
-    the two components of forest j+1 it merges lie inside one component of
-    forest j; and forest j only grows, so the containment, once true, stays
-    true. Hence "the ends are connected in forest f" holds on a prefix of
-    the forests, and the first forest where it fails is the first-fit
-    choice. The forests come out edge for edge as a linear scan gives them.
+    That forest is found by a search down from a bound, not by a scan,
+    because of two lemmas. They hold for any edge order: both proofs are by
+    induction over the edges in the order first-fit places them.
+
+    Nesting: every component of forest j+1 lies inside a component of
+    forest j. An edge joins forest j+1 only if its ends are already
+    connected in forest j (else first-fit would have put it in forest j or
+    earlier), so the two components of forest j+1 it merges lie inside one
+    component of forest j; and forest j only grows, so the containment, once
+    true, stays true. Hence "the ends are connected in forest f" holds on a
+    prefix of the forests, and the first forest where it fails is the
+    first-fit choice.
+
+    Prefix: the forests in which a vertex has an edge are a prefix
+    0..c(v)-1. If v has an edge in forest j+1, its component there has two
+    or more vertices and lies inside v's component in forest j, so v has an
+    edge in forest j too. So in forest top = min(c(u), c(v)) one end of uv
+    is isolated, the ends are not connected there, and uv goes to a forest
+    f <= top (f equal to the number of forests opens a new one).
+
+    The search probes forests top-1, top-2, top-4, ... until one finds the
+    ends connected, then bisects the bracket left: O(log(top - f + 1))
+    find-pairs per edge, at most about twice a bisection over all forests.
+    Most edges land at top, found by one find-pair in forest top-1, and are
+    joined without a find: the isolated end's parent becomes the other end.
+    The forests come out edge for edge as a linear scan gives them.
     """
     index = {v: i for i, v in enumerate(sorted(set(chain.from_iterable(g.edges))))}
+    count = [0] * len(index)  # c(v): v has edges in forests 0..c(v)-1
     forests: list[list[Edge]] = []
     parents: list[list[int]] = []
     for e in g.edges:
         a, b = index[e[0]], index[e[1]]
-        lo, hi, roots = 0, len(forests), None
+        ca, cb = count[a], count[b]
+        hi = top = ca if ca < cb else cb
+        # the ends are connected in forests < lo and not in forest hi;
+        # step is the gallop's next distance below top, 0 once bisecting
+        lo, step = 0, 1
         while lo < hi:
-            mid = (lo + hi) >> 1
+            mid = top - step if step else (lo + hi) >> 1
+            if mid < lo:
+                mid = lo
             parent = parents[mid]
             x, y = a, b
             while parent[x] != x:
@@ -511,20 +534,27 @@ def forest_partition(g: Graph) -> list[Graph]:
                 parent[y] = parent[parent[y]]
                 y = parent[y]
             if x == y:
-                lo = mid + 1
+                lo, step = mid + 1, 0
             else:
-                hi, roots = mid, (x, y)
-        if roots is None:
-            parent = list(range(len(index)))
-            parent[a] = b
-            forests.append([e])
-            parents.append(parent)
+                hi, rx, ry, step = mid, x, y, step << 1
+        if hi < top:
+            # a probe found the ends disconnected in forest hi, with roots
+            # rx and ry, and nothing was joined since
+            parents[hi][rx] = ry
+            forests[hi].append(e)
+            continue
+        # forest top, where an end with c = top is isolated: its own root
+        if top == len(forests):
+            forests.append([])
+            parents.append(list(range(len(index))))
+        if ca == top:
+            parents[top][a] = b
+            count[a] = top + 1
         else:
-            # the last forest found disconnected is forest lo, and nothing
-            # was joined since its roots were read
-            x, y = roots
-            parents[lo][x] = y
-            forests[lo].append(e)
+            parents[top][b] = a
+        if cb == top:
+            count[b] = top + 1
+        forests[top].append(e)
     return [Graph._trusted(g.vertex_count, tuple(es)) for es in forests]
 
 
@@ -573,14 +603,28 @@ class DecompositionReport:
         The part sizes must sum to m (which sizes the array), and the parts'
         edges, sorted, must be ``graph.edges``, which are sorted and
         distinct: then no edge is missing, repeated or foreign.
+
+        An edge sorts by one int64 key u * n + v, which orders as (u, v)
+        and is distinct once the parts' ids are checked to be below n: a
+        part's graph may declare more ids, and a foreign id could alias a
+        real edge's key. The key is exact while n^2 < 2^63 and is used up
+        to n = 2^31, which covers every graph the CLI reads (n <= 2^18); a
+        library ``Graph`` declaring more ids sorts its rows by the two
+        columns instead, which is exact for any int64 ids.
         """
         g = self.graph
-        m = g.edge_count
+        n, m = g.vertex_count, g.edge_count
         if sum(len(p.colouring.colours) for p in self.parts) != m:
             return False
         got = _edge_array(chain.from_iterable(p.colouring.colours for p in self.parts), m)
-        got = got[np.lexsort((got[:, 1], got[:, 0]))]
-        return bool(np.array_equal(got, _edge_array(g.edges, m)))
+        want = _edge_array(g.edges, m)
+        if n > 1 << 31:
+            return bool(np.array_equal(got[np.lexsort((got[:, 1], got[:, 0]))], want))
+        if m and got.max() >= n:
+            return False
+        keys = got[:, 0] * n + got[:, 1]
+        keys.sort()
+        return bool(np.array_equal(keys, want[:, 0] * n + want[:, 1]))
 
 
 def decompose_theta(g: Graph, cfg: PipelineConfig | None = None) -> DecompositionReport:

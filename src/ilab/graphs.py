@@ -302,7 +302,14 @@ class BipartiteGraph:
 
     def without(self, sub: "BipartiteGraph") -> "BipartiteGraph":
         """This pair, on the same sides, less the edges of ``sub``, a pair
-        whose labels and edges are all this pair's."""
+        whose labels and edges are all this pair's.
+
+        ``sub``'s edges are marked in a table with a byte per key, that is
+        per (left, right) cell, when that is no more than 64 bytes an edge,
+        about what the pair's edge tuples already take; a sparser pair
+        looks its keys up by sorting instead (``np.isin``), so the memory
+        stays linear in the edges.
+        """
         lpos = dict(zip(self.left, range(len(self.left))))
         rpos = dict(zip(self.right, range(len(self.right))))
         slp, srp = sub.ends
@@ -310,7 +317,13 @@ class BipartiteGraph:
         sr = np.fromiter((rpos[v] for v in sub.right), np.intp, len(sub.right))[srp]
         lp, rp = self.ends
         width = len(self.right)  # an edge's key is lp * width + rp, one per pair
-        keep = ~np.isin(lp * width + rp, sl * width + sr)
+        cells = len(self.left) * width
+        if cells <= 64 * len(lp):
+            taken = np.zeros(cells, bool)
+            taken[sl * width + sr] = True
+            keep = ~taken[lp * width + rp]
+        else:
+            keep = ~np.isin(lp * width + rp, sl * width + sr)
         edges = tuple(compress(self.edges, keep.tobytes()))
         return BipartiteGraph._trusted(self.left, self.right, edges, (lp[keep], rp[keep]))
 

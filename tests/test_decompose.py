@@ -694,6 +694,49 @@ def test_forests_nest():
             assert all(comp[u] == comp[v] for u, v in upper.edges), (n, g.edges)
 
 
+def test_forests_at_a_vertex_form_a_prefix():
+    # the lemma behind the search's start: replaying the edges in canonical
+    # order, the order first fit places them, each edge's forest is at most
+    # the smaller number of forests its ends have edges in so far, and each
+    # vertex's forests are 0..c-1
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randint(2, 40)
+        g = Graph(n, random_graph(n, rng.choice((0.1, 0.3, 0.6, 0.95)), seed=rng.randrange(10**6)))
+        forest_of = {e: i for i, f in enumerate(forest_partition(g)) for e in f.edges}
+        at = [set() for _ in range(n)]
+        for u, v in g.edges:
+            f = forest_of[u, v]
+            assert f <= min(len(at[u]), len(at[v])), (n, g.edges, (u, v))
+            at[u].add(f)
+            at[v].add(f)
+        assert all(s == set(range(len(s))) for s in at), (n, g.edges)
+
+
+def cliques_and_bridges(t, j):
+    """K_t on the even ids and on the odd ids of 0..2t-1, the bridges
+    (2i, 2i+1) for i < j, and last in canonical order (2t-2, 2t-1): that
+    edge's ends each have edges in t-1 forests, and it lands in forest j."""
+    sides = (range(0, 2 * t, 2), range(1, 2 * t, 2))
+    edges = [(u, v) for side in sides for u, v in itertools.combinations(side, 2)]
+    edges += [(2 * i, 2 * i + 1) for i in range(j)] + [(2 * t - 2, 2 * t - 1)]
+    return Graph(2 * t, edges)
+
+
+def test_forest_search_runs_deep_below_its_bound():
+    # the random sweeps land nearly every edge at or one below its bound;
+    # here the last edge lands t-1-j forests below it, for every depth
+    t = 12
+    for j in range(t - 1):
+        g = cliques_and_bridges(t, j)
+        parts = forest_partition(g)
+        assert [list(f.edges) for f in parts] == linear_first_fit(g), j
+        last = g.edges[-1]
+        assert last == (2 * t - 2, 2 * t - 1) and last in parts[j].edges
+        for x in last:
+            assert sum(any(x in e for e in f.edges if e != last) for f in parts) == t - 1
+
+
 def test_forest_partition_memory_follows_touched_vertices():
     # K_8 declared on 2^18 vertices: the union-find must not allocate a
     # parent list over every declared id for each of its forests
@@ -740,6 +783,26 @@ class TestDecomposeTheta:
         path = Graph(4, ((0, 1), (1, 2), (2, 3)))
         parts = [ForestPart(colour_forest(Graph(4, es))) for es in (((0, 1), (1, 2)), ((0, 1),))]
         assert not DecompositionReport(path, parts, []).covers_each_edge_once()
+
+    def test_cover_check_rejects_a_foreign_edge_that_aliases_a_key(self):
+        # (0, 6) is no edge of a 4-vertex graph, but 0 * 4 + 6 is the key of (1, 2)
+        path = Graph(4, ((0, 1), (1, 2), (2, 3)))
+        part = ForestPart(colour_forest(Graph(7, ((0, 1), (0, 6), (2, 3)))))
+        assert not DecompositionReport(path, [part], []).covers_each_edge_once()
+
+    def test_cover_check_is_exact_past_int64_keys(self):
+        # 2^33 ids: u * n + v would pass 2^63 at the top ids
+        n = 1 << 33
+        top = range(n - 6, n)
+        g = Graph(n, [*itertools.combinations(top, 2), (0, n - 1), (1, n - 2)])
+        rep = decompose_theta(g)
+        assert rep.covers_each_edge_once()
+        # the sizes still sum to m, but one edge is in two parts and one in none
+        first = next(iter(rep.parts[0].colouring.colours))
+        rest = [e for p in rep.parts for e in p.colouring.colours if e != first]
+        twice = [ForestPart(colour_forest(Graph(n, (e,)))) for e in (rest[0], *rest)]
+        assert sum(len(p.colouring.colours) for p in twice) == g.edge_count
+        assert not DecompositionReport(g, twice, []).covers_each_edge_once()
 
     def test_dense_layers_yield_regular_parts(self):
         g = Graph(64, random_graph(64, 0.9, seed=2))

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -196,6 +197,24 @@ class TestBipartite:
         # the sorted subsequence of the host's edges, not left-label order
         want = tuple((u, v) for u, v in b.edges if u in (0, 2) and v == 3)
         assert r.edges == want == ((0, 3), (2, 3))
+
+    @pytest.mark.parametrize("side,p", [(9, 0.6), (200, 0.002)])
+    def test_without_drops_exactly_the_sub_pair(self, side, p):
+        # a dense pair marks a cell table, a sparse one (under 1/64 of the
+        # cells) sorts its keys; labels are shuffled, so positions are not
+        # label order
+        rng = random.Random(side)
+        left = rng.sample(range(2 * side), side)
+        right = [x + 2 * side for x in rng.sample(range(side), side)]
+        edges = [(u, v) for u in left for v in right if rng.random() < p]
+        b = BipartiteGraph(left, right, edges)
+        sub = b.restrict(rng.sample(left, side // 2), right)
+        sub = BipartiteGraph(sub.left, sub.right, [e for e in sub.edges if rng.random() < 0.5])
+        rest = b.without(sub)
+        want = BipartiteGraph(left, right, sorted(set(b.edges) - set(sub.edges)))
+        assert rest.left == want.left and rest.right == want.right
+        assert rest.edges == want.edges
+        assert all(map(np.array_equal, rest.ends, want.ends))
 
     def test_to_graph_round(self):
         # a pair's plain-graph view is the graph of its regular colouring:
