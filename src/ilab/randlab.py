@@ -5,7 +5,8 @@ ground side B of n vertices: layer i has its own side A_i of about n*delta^i
 vertices and edge probability eps * delta^{-i}, so later layers are smaller
 but denser. Vertex ids are consecutive (B first, then A_1, A_2, ...), and
 layer i draws from ``numpy.random.default_rng([seed, i])`` so layers can be
-regenerated independently.
+regenerated independently. `generate` is the one function of ilab that
+draws random numbers; every check and the probe are deterministic.
 
 Against an adversary who partitions the edges into parts (claiming each part
 interval colourable in some ambient graph of bounded degree), the probe
@@ -19,6 +20,12 @@ interval colouring of that part would exceed the diameter spread cap (a
 with nothing fresh, forcing a part repeat. Either outcome refutes the
 partition; a clean r-stage trace is consistent with thickness > r - 1 ...
 for that adversary only.
+
+Each stage's restriction is checked against the two hypotheses of the
+lower-bound argument, and the verdicts are recorded, not enforced:
+`check_biregular`, and `check_pseudorandom`, whose verdict is "holds" (proved
+over every pair, on at most 12 vertices a side), "refuted" (with a pair that
+breaks it) or "not refuted" (a fixed family of pairs broke nothing).
 
 Budgets: stage k flags a pivot vertex a in A_k when it sends more than
 ``8 * eps * delta^{-i} * n`` layer-k edges of part f_i into K_i's ground
@@ -171,24 +178,28 @@ def check_biregular(b: BipartiteGraph, p: float) -> tuple[bool, int | None]:
 
 @dataclass(frozen=True)
 class PseudoReport:
-    ok: bool
-    worst_ratio: float  # max |e(U,V) - p|U||V|| / (|U||V|)^0.85 seen
-    exhaustive: bool
+    verdict: str  # "holds", "refuted" or "not refuted"
+    worst_ratio: float  # max |e(U,V) - p|U||V|| / (|U||V|)^0.85 over the pairs checked
+    witness: tuple[tuple[int, ...], tuple[int, ...]] | None  # (U, V) labels when refuted
 
 
-def check_pseudorandom(
-    b: BipartiteGraph,
-    alpha: float,
-    p: float,
-    trials: int = 200,
-    seed: int = 0,
-) -> PseudoReport:
+def check_pseudorandom(b: BipartiteGraph, alpha: float, p: float) -> PseudoReport:
     """|e(U, V) - p |U||V|| <= (|U||V|)^0.85 over qualifying subset pairs.
 
-    Qualifying means |U| >= alpha |C| and |V| >= alpha |D|. Exhaustive when
-    both sides have at most 12 vertices; otherwise `trials` uniformly random
-    pairs (sizes uniform over the allowed range) drawn from a generator
-    seeded with `seed`.
+    Qualifying means U in C, V in D, |U| >= alpha |C| and |V| >= alpha |D|.
+    When both sides have at most 12 vertices every qualifying pair is
+    covered, and the verdict is "holds" or "refuted". Past that, one fixed
+    family of pairs is checked, each pair only if it qualifies: the whole
+    sides (C, D), and for each vertex x of either side its star ({x},
+    N(x)) and its anti-star ({x}, other side - N(x)), written (N(x), {x})
+    and (C - N(x), {x}) when x lies in D. The inequality is claimed for
+    every qualifying pair, so one pair that breaks it refutes it; a family
+    that breaks nothing proves nothing, and the verdict is then "not
+    refuted", never "holds". Every count in the family is a degree (e = d
+    for a star, 0 for an anti-star, |E| for the sides), so the family costs
+    O(|C| + |D|) over ``b.degree_arrays``, with no matrix, sort or random
+    draw. A "refuted" verdict carries the labels (U, V) of a worst pair it
+    checked, whose ratio is `worst_ratio`.
 
     The exhaustive branch runs over every U but over no V, by the prefix
     lemma. Fix U and t = |V|, let d_U(v) count the edges from U to v, so
@@ -203,20 +214,22 @@ def check_pseudorandom(
     Rounding is monotone and keeps the sign of e - c, and the counts are
     small integers, exact in floats, so the float ratio peaks at an end
     too: the maximum is bit for bit the one that every (U, V) pair gives.
-    One sort of each U's row of d_U and two cumulative sums give the ends.
+    One sort of each U's row of d_U and two cumulative sums give the ends,
+    and the worst (U, t, end) gives the witness back.
     """
     if not 0 <= alpha <= 1:  # also rejects NaN
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
     nc, nd = len(b.left), len(b.right)
-    if nc == 0 or nd == 0:
-        return PseudoReport(True, 0.0, True)
+    small = nc <= 12 and nd <= 12
+    if nc == 0 or nd == 0:  # no pair qualifies
+        return PseudoReport("holds" if small else "not refuted", 0.0, None)
     min_u = max(1, math.ceil(alpha * nc))
     min_v = max(1, math.ceil(alpha * nd))
-    lp, rp = b.ends
 
-    if nc <= 12 and nd <= 12:
+    if small:
+        lp, rp = b.ends
         m = np.zeros((nc, nd))
         m[lp, rp] = 1.0
         # one row per U of at least min_u vertices: bit i of x puts C's i-th in U
@@ -226,23 +239,48 @@ def check_pseudorandom(
         lo = d_u.cumsum(axis=1)[:, min_v - 1 :]
         hi = d_u[:, ::-1].cumsum(axis=1)[:, min_v - 1 :]
         sizes = np.outer(mu.sum(axis=1), np.arange(min_v, nd + 1.0))
-        dev = np.maximum(np.abs(lo - p * sizes), np.abs(hi - p * sizes))
-        worst = float((dev / sizes**0.85).max())
-        return PseudoReport(worst <= 1.0, worst, True)
-
-    # e(U, V) counts the edges with both endpoints chosen: O(m) per trial
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        su = int(rng.integers(min_u, nc + 1))
-        sv = int(rng.integers(min_v, nd + 1))
-        in_u = np.zeros(nc, dtype=bool)
-        in_v = np.zeros(nd, dtype=bool)
-        in_u[rng.choice(nc, size=su, replace=False)] = True
-        in_v[rng.choice(nd, size=sv, replace=False)] = True
-        count = int(np.count_nonzero(in_u[lp] & in_v[rp]))
-        worst = max(worst, abs(count - p * su * sv) / (su * sv) ** 0.85)
-    return PseudoReport(worst <= 1.0, worst, False)
+        dev_lo, dev_hi = np.abs(lo - p * sizes), np.abs(hi - p * sizes)
+        ratios = np.maximum(dev_lo, dev_hi) / sizes**0.85
+        row, col = np.unravel_index(int(ratios.argmax()), ratios.shape)
+        worst = float(ratios[row, col])
+        if worst <= 1.0:
+            return PseudoReport("holds", worst, None)
+        order = np.argsort(mu[row] @ m, kind="stable")
+        t = min_v + int(col)
+        v_pos = order[:t] if dev_lo[row, col] >= dev_hi[row, col] else order[nd - t :]
+        u_pos = np.flatnonzero(mu[row])
+    else:
+        # rows: the sides; C's stars and anti-stars; D's stars and anti-stars
+        dc, dd = b.degree_arrays
+        one_c, one_d = np.ones_like(dc), np.ones_like(dd)
+        us = np.concatenate(([nc], one_c, one_c, dd, nc - dd))
+        vs = np.concatenate(([nd], dc, nd - dc, one_d, one_d))
+        es = np.concatenate(([len(b.edges)], dc, 0 * one_c, dd, 0 * one_d))
+        sizes = (us * vs).astype(float)
+        ratios = np.abs(es - p * sizes) / np.where(sizes > 0, sizes, 1.0) ** 0.85
+        ratios[(us < min_u) | (vs < min_v)] = -1.0  # the pairs that do not qualify
+        i = int(ratios.argmax())  # (C, D) qualifies, so the worst is a ratio
+        worst = float(ratios[i])
+        if worst <= 1.0:
+            return PseudoReport("not refuted", worst, None)
+        lp, rp = b.ends
+        if i == 0:
+            u_pos, v_pos = np.arange(nc), np.arange(nd)
+        elif i <= 2 * nc:  # the star or anti-star of C's x-th vertex
+            anti, x = divmod(i - 1, nc)
+            hit = np.zeros(nd, bool)
+            hit[rp[lp == x]] = True
+            u_pos, v_pos = np.array([x]), np.flatnonzero(~hit if anti else hit)
+        else:  # the star or anti-star of D's x-th vertex
+            anti, x = divmod(i - 1 - 2 * nc, nd)
+            hit = np.zeros(nc, bool)
+            hit[lp[rp == x]] = True
+            u_pos, v_pos = np.flatnonzero(~hit if anti else hit), np.array([x])
+    witness = (
+        tuple(b.left[j] for j in u_pos.tolist()),
+        tuple(b.right[j] for j in np.sort(v_pos).tolist()),
+    )
+    return PseudoReport("refuted", worst, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +448,7 @@ class Overrun:
 @dataclass(frozen=True)
 class StageHypotheses:
     biregular: bool
-    pseudorandom: bool
+    pseudorandom: str  # the verdict of check_pseudorandom
 
 
 @dataclass
@@ -534,14 +572,8 @@ def adversarial_probe(
 
         p_k = params.p(k)
         ok_b, _ = check_biregular(restricted, p_k)
-        pseudo = check_pseudorandom(
-            restricted,
-            DensePartHypothesis(p_k, params.r).alpha,
-            p_k,
-            trials=100,
-            seed=params.seed * 100_003 + k,
-        )
-        hyp = StageHypotheses(ok_b, pseudo.ok)
+        pseudo = check_pseudorandom(restricted, DensePartHypothesis(p_k, params.r).alpha, p_k)
+        hyp = StageHypotheses(ok_b, pseudo.verdict)
 
         forced = bool(gone.all())
         fresh = ~gone  # a sorted subsequence of the restricted layer's edges

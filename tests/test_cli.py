@@ -464,55 +464,55 @@ def probe_outcomes(doc, out):
 # n = None is the planted witness instance of tests/test_randlab.py
 FROZEN_PROBES = [
     (100, 0, "single-part", "1", {"repeat"},
-     "e9f61c6139d6600f409535bcf5037f994edf989b8ad9058df465575210c0c4c2"),
+     "b55f1c82b39847afd8fc7eb24279be8b94fc267a058aef171d8217ac7d4745ec"),
     (100, 0, "single-part", "0.1", {"overrun", "repeat"},
-     "dace89d3b7ca87d77d8336b4256510014531fec0831c73a0402249edf3091f25"),
+     "5dde35311a280aceb97a95f67a69c1db87e246ebcc3d98ce84d3aa0d3dd2a120"),
     (100, 0, "layers-as-parts", "1", {"survived"},
-     "cc9ece7e6049a59f431dadc374d1dce9116065ba190d7a799f337ced36d44db6"),
+     "dce324aefcf1a23dca69681bf38cd42d61c1f076a2b45e0409b9ec104394b8c8"),
     (100, 0, "layers-as-parts", "0.1", {"survived"},
-     "64834bfc660010d98c52755ecac90e189dddf92194ca2d0066daec67734024a7"),
+     "0392a657357bd13a29ccf00ed10dc2aa46abc9ef14d3eb18da788023a5b57600"),
     (100, 0, "random-4-parts", "1", set(),
-     "b91c81b52c6a5304547a7156151034247312f601fb994997d4839f4208201e98"),
+     "a373ce14811f2618b770313da8e93580e34c058dfa8fed08f5e5587c9d421925"),
     (100, 0, "random-4-parts", "0.1", set(),
-     "5fa802dcd32afd6b3d1e13f524c1615d75552c527338f2880c7242b1bbc8d567"),
+     "d6163ac90af7b06e04c19fb023f3eaf64299ff94b5e2a13ca7c0bbca024fae05"),
     (100, 1, "single-part", "1", {"repeat"},
-     "0e32db839d6e0d45040eda46db3ceb4c490ec93d37c63468e38438392b87e8e9"),
+     "8cdbddf86099c639de52f05f3e20064ba8f6c67d429c874d901de4f1529de9a7"),
     (100, 1, "single-part", "0.1", {"overrun", "repeat"},
-     "a7b9aa895cb429e9df7eade5ec80c081b3ec563829a88dcc3c0080e8d6140827"),
+     "31fce0b777bee8621afd01ded8ddb997970b87493146dd08a75d22f32190a2a5"),
     (100, 1, "layers-as-parts", "1", {"survived"},
-     "c5962309e0d11428b6858446beca67f1e7086d57306ac408c520f6aece0ec863"),
+     "14411a20f1d824c274a48138704096ce47f07e077496163440f3c4c8736e9f82"),
     (100, 1, "layers-as-parts", "0.1", {"survived"},
-     "a09619f60389490caf8a83930c72625f06da2b5b128a28c4fe5342c919e74dd5"),
+     "c63fc439d2e176d85e8e00ed07740079df4d6e51c1c53440fdd2d8f9a75fe167"),
     (100, 1, "random-4-parts", "1", {"repeat"},
-     "b433fa914124da098b0a262ff00b3c6418cef6d3c4d9a40b0dc4a79e3d468545"),
+     "b8782dbde4b02dac8e12ac5eeff125e679ed489fab7c30c6e689c57b680b1169"),
     (100, 1, "random-4-parts", "0.1", {"repeat"},
-     "04b3de5b89df7454378acf9c550831a875c6518ad96f28b59e535091285a0058"),
+     "57b8739785fb04a36f753ddb5274faee63589fddecb9b89509328ff75f03f6c7"),
     (300, 0, "single-part", "1", {"repeat"},
-     "ef98ce298c3dcfe273c1fee27214a9a1fed61acfcea75d2088659ec755c10210"),
+     "d2b0d39b3a755e80dc5613bb2dbcc5a2eee54822a852a60791b8cbc213293740"),
     (300, 0, "single-part", "0.1", {"overrun", "repeat"},
-     "b6a007356f1cf0c63f3df96bd0882d70d0554d843f9e06766b762d6b94f5bceb"),
+     "bce76f151578c3fd36c77da7bc47a4a6c6fdfa193b60c4a21ae2ef154402a528"),
     (300, 0, "layers-as-parts", "1", {"survived"},
-     "5524102d21d7113f8e2bfb976b9404320f346ad6b87bae96c4ab72e3f163e5b4"),
+     "51fe496f014edfba09258c0dc3e37b36eb8984bfac65d8b6402b010ab762feeb"),
     (300, 0, "layers-as-parts", "0.1", {"survived"},
-     "cc28f8ceed512a67fa952dd9841bbe5a32bb4b160c4645736d8892975b5dfec0"),
+     "00e1a7fbc2076fd65357e71521b3553481525842d6626878a0008ef20472d359"),
     (300, 0, "random-4-parts", "1", {"repeat"},
-     "ce159087478023508bbe37cb92252c6ccd6afa16c481cc04317d196916b68266"),
+     "656eb79023aec22c8c5f9ad301b75197feddb0f3665861306fea66e018f8456b"),
     (300, 0, "random-4-parts", "0.1", {"repeat"},
-     "f99cb1fd2be48f4fa3c971672f59feb452581009c3de5f94800610f6b2e762bb"),
+     "f0ff1f2136b4216a7259077259e38c21adb27330c2539099e8e3421284bbc49e"),
     (300, 1, "single-part", "1", {"repeat"},
-     "af52e2e9eb938c7e663899709af5928d7842b08d0cc9d0bfc42206b040358329"),
+     "270ea9b6f65678a2fd7b96f2bf9c41b1959c80179af5915caa5ffe862651ba2d"),
     (300, 1, "single-part", "0.1", {"overrun", "repeat"},
-     "24679719461c8dff4071ed3c7c70b3477e018f68d70921ab69375765295594f6"),
+     "5627e324272c8a8fef783bf9b71859315dd242a8d9e9779a5a09fede7dfaf4eb"),
     (300, 1, "layers-as-parts", "1", {"survived"},
-     "8a90e0986b9df5b2ac6b83e9b3f4c6783163fb77539cbb4ecfffebf8b8bc7c3e"),
+     "0f3efe6d227f05be0f629107dacdebfd8f3cedbf8f0e44d6bcfb5ae4dbbb3cc5"),
     (300, 1, "layers-as-parts", "0.1", {"survived"},
-     "2286855b1e9adc308356727efcad01988f4a7dbe10d65a6a92eca20fe5b6d75f"),
+     "993f7fe31c20428ed17be3a8740394f428c962f2e33b98a6774c70ba037bc26e"),
     (300, 1, "random-4-parts", "1", {"survived"},
-     "4a318aafc0997406ce938ae53217f0348a01ab1d06f43f07cb76b18a1f92b4ac"),
+     "87c8092051aadb7b78f1f59e0563e4c99f466d0c91331f0b1c96bf1f510b8c81"),
     (300, 1, "random-4-parts", "0.1", {"survived"},
-     "dbbccf39798c962fbdc0a6730c8f68cd9e9954b391295ddeadcb089de660d14c"),
+     "cc03027db274911d9ffa65f1a5144e6bfa2b0f00aa6401df567a200ce43dcc04"),
     (None, 0, "single-part", "1", {"witness"},
-     "23f2fcee64fa5b1a463391fde2d93a93cc7cd74d3574cab4b4d42e2d702dab5c"),
+     "042728df751bd479b5bacca796eb3cfa56f1693b138659f2ebf242d267aac601"),
 ]
 
 

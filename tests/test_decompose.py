@@ -1,7 +1,9 @@
 import hashlib
+import inspect
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -735,6 +737,41 @@ def test_forest_search_runs_deep_below_its_bound():
         assert last == (2 * t - 2, 2 * t - 1) and last in parts[j].edges
         for x in last:
             assert sum(any(x in e for e in f.edges if e != last) for f in parts) == t - 1
+
+
+def forest_probes(g):
+    """The forests forest_partition probes on g: line events on the line
+    that reads ``parents[mid]``, found by its source text."""
+    lines, first = inspect.getsourcelines(forest_partition)
+    (target,) = [first + i for i, line in enumerate(lines) if "= parents[mid]" in line]
+    code = forest_partition.__code__
+    probes = 0
+
+    def local(frame, event, arg):
+        nonlocal probes
+        probes += event == "line" and frame.f_lineno == target
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        forest_partition(g)
+    finally:
+        sys.settrace(None)
+    return probes
+
+
+def test_forest_search_probes_are_logarithmic():
+    # the last edge of cliques_and_bridges(t, j) starts at top = t-1 and
+    # lands at f = j. With d = top - f, the gallop finds the ends apart in
+    # bit_length(d) forests and together in one more, and bisecting the
+    # bracket left takes at most bit_length(d) - 1: 2 bit_length(d + 1) in
+    # all. A search that scans the bracket upward one forest at a time
+    # breaks the bound at j = 6.
+    t = 12
+    for j in range(t - 1):
+        g = cliques_and_bridges(t, j)
+        last = forest_probes(g) - forest_probes(Graph(g.vertex_count, g.edges[:-1]))
+        assert 0 < last <= 2 * (t - 1 - j + 1).bit_length(), (j, last)
 
 
 def test_forest_partition_memory_follows_touched_vertices():

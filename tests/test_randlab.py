@@ -95,6 +95,38 @@ def old_exhaustive_ratio(b, alpha, p):
     return worst
 
 
+FROZEN_LAYERS = [
+    (1000, 1, 1, False), (1000, 2, 2, False), (100, 3, 1, False),
+    (1000, 1, 1, True), (1000, 2, 2, True), (100, 3, 1, True),
+]
+
+
+def frozen_layer(n, seed, k, restricted):
+    """Layer k of the benchmark's gen-lower instance and the (alpha, p) it is
+    checked at: the probe's alpha, or 0.05 on the restriction to every third
+    ground vertex and all but the first A vertex."""
+    p = LowerBoundParams(r=3, n=n, delta=0.2, epsilon=0.005, seed=seed)
+    lb = generate(p)
+    layer = lb.layer_graphs[k - 1]
+    if restricted:
+        return layer.restrict(range(0, n, 3), lb.a_layers[k - 1][1:]), 0.05, p.p(k)
+    return layer, DensePartHypothesis(p.p(k), 3).alpha, p.p(k)
+
+
+def pair_ratio(b, alpha, p, us, vs):
+    """|e(U, V) - p|U||V|| / (|U||V|)^0.85 for a qualifying pair of distinct
+    labels of b's sides, counted over the labelled edges, independently of
+    ``b.ends``."""
+    uset, vset = set(us), set(vs)
+    assert len(uset) == len(us) and uset <= set(b.left)
+    assert len(vset) == len(vs) and vset <= set(b.right)
+    assert len(us) >= max(1, math.ceil(alpha * len(b.left)))
+    assert len(vs) >= max(1, math.ceil(alpha * len(b.right)))
+    e = sum(1 for u, v in b.edges if u in uset and v in vset)
+    size = len(us) * len(vs)
+    return abs(e - p * size) / size**0.85
+
+
 def shuffled_pair(rng, nc, nd, fill):
     """A random nc x nd pair whose labels are neither ascending nor split
     into a low and a high side."""
@@ -301,7 +333,7 @@ class TestHypothesisChecks:
         right = tuple(range(6, 12))
         b = BipartiteGraph(left, right, tuple((u, v) for u in left for v in right))
         rep = check_pseudorandom(b, alpha=0.5, p=1.0)
-        assert rep.exhaustive and rep.ok
+        assert rep.verdict == "holds" and rep.witness is None
         # e(U, V) = |U||V| exactly, so the deviation is zero for every pair
         assert rep.worst_ratio == pytest.approx(0.0)
 
@@ -321,8 +353,8 @@ class TestHypothesisChecks:
                         for vs in itertools.combinations(right, sv):
                             e = sum(u in us and v in vs for u, v in edges)
                             worst = max(worst, abs(e - p * su * sv) / (su * sv) ** 0.85)
-            assert rep.exhaustive and rep.worst_ratio == pytest.approx(worst, rel=1e-12)
-            assert rep.ok == (rep.worst_ratio <= 1.0)
+            assert rep.worst_ratio == pytest.approx(worst, rel=1e-12)
+            assert rep.verdict == ("holds" if rep.worst_ratio <= 1.0 else "refuted")
 
     def test_pseudorandom_exhaustive_memory_is_bounded(self):
         # alpha = 0 qualifies all 4095 x 4095 mask pairs of a 12 x 12 layer;
@@ -337,7 +369,7 @@ class TestHypothesisChecks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.exhaustive and peak < 64 * 2**20
+        assert rep.verdict != "not refuted" and peak < 64 * 2**20
 
     def test_pseudorandom_exhaustive_equals_the_mask_enumeration(self):
         # the prefix lemma gives bit for bit the maximum over every V mask
@@ -350,8 +382,8 @@ class TestHypothesisChecks:
             b = shuffled_pair(rng, nc, nd, rng.choice((0.1, 0.5, 0.9)))
             rep = check_pseudorandom(b, alpha, p)
             worst = old_exhaustive_ratio(b, alpha, p)
-            assert rep.exhaustive
-            assert (rep.worst_ratio.hex(), rep.ok) == (worst.hex(), worst <= 1.0)
+            verdict = "holds" if worst <= 1.0 else "refuted"
+            assert (rep.worst_ratio.hex(), rep.verdict) == (worst.hex(), verdict)
 
     def test_pseudorandom_exhaustive_needs_no_v_masks(self):
         # the mask enumeration peaks at 33.5 MiB on this pair; the lemma's
@@ -366,64 +398,108 @@ class TestHypothesisChecks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.exhaustive and peak < 8 * 2**20
+        assert rep.verdict != "not refuted" and peak < 8 * 2**20
 
     @pytest.mark.parametrize("small,kwargs,name", [
         (True, {"alpha": 1.5}, "alpha"),
         (False, {"alpha": 1.5}, "alpha"),
         (True, {"alpha": -0.1}, "alpha"),
         (False, {"alpha": math.nan}, "alpha"),
-        (False, {"alpha": 0.05, "trials": -1}, "trials"),
-        (True, {"alpha": 0.05, "trials": 0}, "trials"),
+        (True, {"p": math.nan}, "p"),
+        (False, {"p": 1.5}, "p"),
     ], ids=["alpha-1.5-exhaustive", "alpha-1.5-sampled", "alpha-negative", "alpha-nan",
-            "trials-negative", "trials-zero"])
+            "p-nan", "p-above-one"])
     def test_pseudorandom_rejects_bad_arguments(self, small, kwargs, name):
         if small:
             b = BipartiteGraph((0, 1, 2), (3, 4), ((0, 3), (1, 4), (2, 3)))
         else:  # 50 ground vertices against 10
             b = generate(LowerBoundParams(r=2, n=50, delta=0.2, epsilon=0.005)).layer_graphs[0]
         with pytest.raises(ValueError, match=f"^{name} "):
-            check_pseudorandom(b, p=0.5, **kwargs)
+            check_pseudorandom(b, **{"alpha": 0.05, "p": 0.5, **kwargs})
 
-    def test_pseudorandom_sampled_is_deterministic(self):
-        p = LowerBoundParams(r=2, n=300, delta=0.1, epsilon=1e-4, seed=4)
-        lb = generate(p)
-        big = lb.layer_graphs[1]
-        r1 = check_pseudorandom(big, alpha=0.05, p=p.p(2), trials=50, seed=11)
-        r2 = check_pseudorandom(big, alpha=0.05, p=p.p(2), trials=50, seed=11)
-        assert r1 == r2 and not r1.exhaustive
-        # computed by the dense-matrix count this check once used
-        assert (r1.worst_ratio.hex(), r1.ok) == ("0x1.b94f7a7259690p-6", True)
-
-    @pytest.mark.parametrize("n,seed,k,restricted,ratio", [
-        # layers of the benchmark's gen-lower instances, checked as the probe does
-        (1000, 1, 1, False, "0x1.440af26117d0cp-6"),
-        (1000, 2, 2, False, "0x1.82d6f9536b253p-4"),
-        (100, 3, 1, False, "0x1.6590d8286b0a9p-4"),
+    @pytest.mark.parametrize("n,seed,k,restricted,ratio,verdict,witness", [
+        # layers of the benchmark's gen-lower instances, checked as the probe
+        # does; witness = (|U|, |V|, the label of the star's centre)
+        (1000, 1, 1, False, "0x1.b5408e49030ddp+0", "refuted", (42, 1, 1188)),
+        (1000, 2, 2, False, "0x1.d7928c0237bf9p+0", "refuted", (143, 1, 1206)),
+        (100, 3, 1, False, "0x1.46902f21eb9b3p+0", "refuted", (6, 1, 110)),
         # every third ground vertex and all but the first A vertex, so labels
-        # are not positions
-        (1000, 1, 1, True, "0x1.453b3b1520b8dp-6"),
-        (1000, 2, 2, True, "0x1.171a31fcd7fdcp-4"),
-        (100, 3, 1, True, "0x1.1ea0b33db003ep-4"),
+        # are not positions; at alpha = 0.05 no star of the larger pairs qualifies
+        (1000, 1, 1, True, "0x1.a4ddb2e457cd7p-9", "not refuted", None),
+        (1000, 2, 2, True, "0x1.3898461de1aaep-10", "not refuted", None),
+        (100, 3, 1, True, "0x1.14f2d3884ac6cp+0", "refuted", (2, 1, 104)),
     ])
-    def test_pseudorandom_sampled_values_are_frozen(self, n, seed, k, restricted, ratio):
-        # worst ratios computed by the dense-matrix count this check once used
-        p = LowerBoundParams(r=3, n=n, delta=0.2, epsilon=0.005, seed=seed)
-        lb = generate(p)
-        layer, p_k = lb.layer_graphs[k - 1], p.p(k)
-        if restricted:
-            layer = layer.restrict(range(0, n, 3), lb.a_layers[k - 1][1:])
-            rep = check_pseudorandom(layer, 0.05, p_k, trials=60, seed=seed)
+    def test_pseudorandom_sampled_values_are_frozen(
+        self, n, seed, k, restricted, ratio, verdict, witness
+    ):
+        layer, alpha, p_k = frozen_layer(n, seed, k, restricted)
+        rep = check_pseudorandom(layer, alpha, p_k)
+        assert min(len(layer.left), len(layer.right)) > 12
+        assert (rep.worst_ratio.hex(), rep.verdict) == (ratio, verdict)
+        if witness is not None:
+            us, vs = rep.witness
+            assert (len(us), len(vs), vs[0]) == witness
+            assert us == tuple(sorted(u for u, v in layer.edges if v == vs[0]))
         else:
-            alpha = DensePartHypothesis(p_k, 3).alpha
-            rep = check_pseudorandom(layer, alpha, p_k, trials=100, seed=seed * 100_003 + k)
-        assert min(len(layer.left), len(layer.right)) > 12 and not rep.exhaustive
-        assert (rep.worst_ratio.hex(), rep.ok) == (ratio, True)
+            assert rep.witness is None
+
+    def test_pseudorandom_refutations_recount(self, monkeypatch):
+        # every "refuted" witness, re-counted edge by edge: on the frozen
+        # layers, on layer 2 of the n = 1000 seed-1 instance, and on every
+        # restriction the probe checks on the same instances
+        checked = []
+        for n, seed, k, restricted in FROZEN_LAYERS + [(1000, 1, 2, False)]:
+            layer, alpha, p_k = frozen_layer(n, seed, k, restricted)
+            checked.append((layer, alpha, p_k, check_pseudorandom(layer, alpha, p_k)))
+        assert [c[3].verdict for c in checked].count("refuted") == 5
+        assert checked[0][3].verdict == checked[-1][3].verdict == "refuted"  # n = 1000, seed 1
+
+        def recording(b, alpha, p):
+            rep = check_pseudorandom(b, alpha, p)
+            checked.append((b, alpha, p, rep))
+            return rep
+
+        monkeypatch.setattr("ilab.randlab.check_pseudorandom", recording)
+        before = len(checked)
+        for n, seed in ((1000, 1), (1000, 2), (100, 3)):
+            lb = generate(LowerBoundParams(r=3, n=n, delta=0.2, epsilon=0.005, seed=seed))
+            rng = random.Random(seed)
+            adversarial_probe(lb, {e: rng.randrange(4) for e in lb.all_edges()})
+        assert len(checked) - before == 8  # the last instance exhausts at stage 3
+        refuted = 0
+        for b, alpha, p, rep in checked:
+            if rep.verdict != "refuted":
+                assert rep.witness is None and rep.worst_ratio <= 1.0
+                continue
+            refuted += 1
+            assert pair_ratio(b, alpha, p, *rep.witness) == pytest.approx(rep.worst_ratio)
+            assert rep.worst_ratio > 1.0
+        assert refuted == 10
+
+    def test_pseudorandom_holds_only_on_small_pairs(self):
+        # only the exhaustive branch proves the inequality; past 12 vertices
+        # on a side the family can refute it but never make it hold
+        rng = random.Random(4)
+        verdicts = {True: set(), False: set()}
+        for nc, nd in itertools.product((0, 1, 5, 12, 13, 40), repeat=2):
+            for fill, p, alpha in ((1.0, 1.0, 0.5), (0.0, 0.0, 0.0), (0.5, 0.5, 0.2),
+                                   (0.3, 0.3, 0.05), (0.1, 0.9, 1.0)):
+                b = shuffled_pair(rng, nc, nd, fill)
+                rep = check_pseudorandom(b, alpha, p)
+                small = nc <= 12 and nd <= 12
+                verdicts[small].add(rep.verdict)
+                assert (rep.verdict == "refuted") == (rep.worst_ratio > 1.0)
+                if rep.verdict == "refuted":
+                    assert pair_ratio(b, alpha, p, *rep.witness) == pytest.approx(rep.worst_ratio)
+        assert verdicts == {True: {"holds", "refuted"}, False: {"not refuted", "refuted"}}
 
     def test_pseudorandom_sampled_flags_a_wrong_p(self):
+        # the whole sides refute p = 0.5 on a layer drawn at p = 0.025
         p = LowerBoundParams(r=3, n=100, delta=0.2, epsilon=0.005, seed=3)
-        rep = check_pseudorandom(generate(p).layer_graphs[0], alpha=0.1, p=0.5, trials=40, seed=7)
-        assert (rep.worst_ratio.hex(), rep.ok) == ("0x1.7c566850fab47p+0", False)
+        layer = generate(p).layer_graphs[0]
+        rep = check_pseudorandom(layer, alpha=0.1, p=0.5)
+        assert (rep.worst_ratio.hex(), rep.verdict) == ("0x1.7d112b4e86976p+0", "refuted")
+        assert rep.witness == (layer.left, layer.right)
 
 
 class TestFindDense:
